@@ -73,8 +73,10 @@ def _fmt(v: float) -> str:
 def _parse_number(text: str) -> float:
     """Float literal, allowing a/b fractions for exact step sizes."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(part) for part in text.split("/", 1))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -212,14 +214,14 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    rows = zip(*columns)
+    """One row per index: integer columns as %d, the rest as %.17g."""
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%" + _FLOAT_FMT
+                       for c in columns) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(
-                str(v) if isinstance(v, (int, np.integer)) else _fmt(v)
-                for v in row
-            ) + "\n")
+        for row in zip(*columns):
+            fh.write(row_fmt % row)
 
 
 def read_eta_csv(path: str):

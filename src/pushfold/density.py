@@ -84,6 +84,8 @@ class TableDensity(DensitySpec):
     weights: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
 
     def __post_init__(self):
+        if not (np.isfinite(self.xs).all() and np.isfinite(self.weights).all()):
+            raise ValueError("table values must be finite")
         if len(self.xs) != len(self.weights) or len(self.xs) < 2:
             raise ValueError("table needs matching x/weight columns of length >= 2")
         if not np.all(np.diff(self.xs) > 0):

@@ -133,6 +133,8 @@ class TableMap(MapDefinition):
     ys: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
 
     def __post_init__(self):
+        if not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
+            raise ValueError("table values must be finite")
         super().__post_init__()
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("table needs matching x/y columns of length >= 2")

@@ -114,13 +114,20 @@ class LayerTable:
         return float(self.values[-1])
 
 
-def _drop_plateau_middles(ys: np.ndarray) -> list:
-    """Indices of the grid with middles of equal-sample runs removed."""
-    n = len(ys)
-    return [
-        i for i in range(n)
-        if not (0 < i < n - 1 and ys[i - 1] == ys[i] == ys[i + 1])
-    ]
+def _sign_change_bounds(ys: np.ndarray) -> list:
+    """Grid endpoints plus the points flagged by the sign-change rule, with
+    middles of equal-sample runs dropped first."""
+    plateau = np.zeros(len(ys), dtype=bool)
+    plateau[1:-1] = (ys[:-2] == ys[1:-1]) & (ys[1:-1] == ys[2:])
+    kept = np.flatnonzero(~plateau)
+    d = np.diff(ys[kept])
+    flagged = [0]
+    for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + 1).tolist():
+        if t > 1 and flagged[-1] == t - 1 and d[t - 1] == 0.0:
+            # flat pair: the earlier index already represents it
+            continue
+        flagged.append(t)
+    return kept[flagged + [len(kept) - 1]].tolist()
 
 
 def detect_extrema(sm: SampledMap, merge_tol: float = DEFAULT_MERGE_TOL) -> MonotonePartition:
@@ -138,21 +145,7 @@ def detect_extrema(sm: SampledMap, merge_tol: float = DEFAULT_MERGE_TOL) -> Mono
         raise DegenerateInputError("map is constant on the whole grid")
     tol = merge_tol * value_range
 
-    kept = _drop_plateau_middles(ys)
-    d = np.diff(ys[kept])
-    idx = [kept[0]]
-    prev_flagged = False
-    for t in range(1, len(kept) - 1):
-        if d[t - 1] * d[t] <= 0.0:
-            if prev_flagged and d[t - 1] == 0.0:
-                # flat pair: the earlier index already represents it
-                prev_flagged = False
-                continue
-            idx.append(kept[t])
-            prev_flagged = True
-        else:
-            prev_flagged = False
-    idx.append(kept[-1])
+    idx = _sign_change_bounds(ys)
 
     # Fuse spurious branches until the partition is alternating and every
     # branch moves by more than the merge tolerance.

@@ -1,5 +1,6 @@
 """Shared fixtures: the experiment zoo and its (expensive) pipeline runs."""
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,7 +145,8 @@ def comparisons(pipelines):
     out = {}
     for name, (map_def, spec, grid) in experiment_defs().items():
         t0 = time.perf_counter()
-        hist = mc_density(map_def, spec, cfg, scan_grid=grid)
+        hist = mc_density(map_def, spec, cfg, scan_grid=grid,
+                          threads=os.cpu_count() or 1)
         seconds = time.perf_counter() - t0
         metrics = compare(pipelines[name].curve, hist)
         out[name] = ComparisonRun(hist, metrics, seconds)

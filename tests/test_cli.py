@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from conftest import CONFIG_DIR
 
-from pushfold.cli import main, read_curve_csv, read_eta_csv, read_hist_csv
+from pushfold.cli import (
+    _write_csv,
+    main,
+    read_curve_csv,
+    read_eta_csv,
+    read_hist_csv,
+)
 
 
 def run(*argv):
@@ -66,6 +72,60 @@ class TestConfigValidation:
     def test_nonexistent_config(self, tmp_path):
         assert run("partition", "--config", tmp_path / "nope.cfg",
                    "--out", tmp_path / "o") == 2
+
+    def test_zero_denominator_is_a_config_error(self, tmp_path, capsys):
+        body = (CONFIG_DIR / "duffing.cfg").read_text()
+        body = "\n".join("step = 5/0" if line.startswith("step") else line
+                         for line in body.splitlines())
+        cfg = write_config(tmp_path / "zero.cfg", body)
+        assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_nan_in_map_table_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "identity.csv").write_text(
+            IDENTITY_CSV.replace("0.5,0.5", "0.5,nan"))
+        cfg = write_config(tmp_path / "identity.cfg", IDENTITY_CFG)
+        assert run("density", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_in_density_table_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "identity.csv").write_text(IDENTITY_CSV)
+        (tmp_path / "weights.csv").write_text(
+            IDENTITY_CSV.replace("0.5,0.5", "0.5,nan"))
+        body = IDENTITY_CFG.replace("kind = uniform",
+                                    "kind = table\npath = weights.csv")
+        cfg = write_config(tmp_path / "weighted.cfg", body)
+        out = tmp_path / "o"
+        assert run("density", "--config", cfg, "--out", out) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "mu_y.csv").exists()
+
+
+class TestCsvWriter:
+    """_write_csv writes each float as format(float(v), ".17g") and each
+    integer as str(v), the format the artifacts have always used."""
+
+    FLOATS = np.array([-0.0, 5e-324, 1e-300, 1 / 3, 0.1, 1e16, 1e22, -2.5])
+
+    @staticmethod
+    def reference(header, columns):
+        rows = (",".join(str(v) if isinstance(v, (int, np.integer))
+                         else format(float(v), ".17g") for v in row)
+                for row in zip(*columns))
+        return "".join(line + "\n" for line in (header, *rows)).encode()
+
+    @pytest.mark.parametrize("header,columns", [
+        ("u,x", (FLOATS, -FLOATS[::-1])),
+        ("y,mu_y,interval_id",
+         (FLOATS, FLOATS ** 2,
+          np.array([0, 1, 2, 7, 2**40, 2**62, 3, 3], dtype=np.int64))),
+        ("y,mu_y,interval_id",
+         (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))),
+    ])
+    def test_matches_reference_bytes(self, tmp_path, header, columns):
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == self.reference(header, columns)
 
 
 class TestDegenerateInput:

@@ -60,6 +60,13 @@ class TestDensitySpec:
             TableDensity(alpha=0.0, beta=1.0,
                          xs=np.array([0.0, 1.0]), weights=np.array([1.0, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TableDensity(alpha=0.0, beta=1.0,
+                         xs=np.array([0.0, 0.5, 1.0]),
+                         weights=np.array([1.0, bad, 1.0]))
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             TableDensity(alpha=0.0, beta=1.0,

@@ -221,6 +221,13 @@ class TestTableMap:
         with pytest.raises(ValueError):
             TableMap.from_samples([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TableMap.from_samples([0.0, 0.5, 1.0], [0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            TableMap.from_samples([0.0, bad, 1.0], [0.0, 0.5, 1.0])
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             TableMap(alpha=0.0, beta=2.0,

@@ -2,8 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import make_sampled, random_piecewise_cubic, ripple_map
+from conftest import (
+    experiment_defs,
+    make_sampled,
+    random_piecewise_cubic,
+    ripple_map,
+)
 
+from pushfold import partition
 from pushfold import (
     BranchError,
     DegenerateInputError,
@@ -84,6 +90,73 @@ class TestDetectExtrema:
         m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3)
         p = detect_extrema(sample_map(m, GridSpec(400)))
         assert np.all(p.lambdas[:-1] * p.lambdas[1:] < 0)
+
+
+def reference_bounds(ys):
+    """Oracle for partition._sign_change_bounds: the same flag rule as a
+    plain loop over every grid point."""
+    n = len(ys)
+    kept = [i for i in range(n)
+            if not (0 < i < n - 1 and ys[i - 1] == ys[i] == ys[i + 1])]
+    d = np.diff(ys[kept])
+    idx = [kept[0]]
+    prev_flagged = False
+    for t in range(1, len(kept) - 1):
+        if d[t - 1] * d[t] <= 0.0:
+            if prev_flagged and d[t - 1] == 0.0:
+                prev_flagged = False
+                continue
+            idx.append(kept[t])
+            prev_flagged = True
+        else:
+            prev_flagged = False
+    idx.append(kept[-1])
+    return idx
+
+
+def _alpha_indices(sm):
+    try:
+        return detect_extrema(sm).alpha_indices.tolist()
+    except DegenerateInputError:
+        return "degenerate"
+
+
+def assert_flags_match_reference(sm, monkeypatch):
+    """Same flags as the reference loop, and so the same partition."""
+    assert partition._sign_change_bounds(sm.ys) == reference_bounds(sm.ys)
+    new = _alpha_indices(sm)
+    with monkeypatch.context() as m:
+        m.setattr(partition, "_sign_change_bounds", reference_bounds)
+        old = _alpha_indices(sm)
+    assert new == old
+
+
+class TestExtremumFlagsMatchReference:
+    @pytest.mark.parametrize("name", sorted(experiment_defs()))
+    @pytest.mark.parametrize("n_div", [4, 5, 7, 16, 101, 1000])
+    def test_reference_experiments(self, name, n_div, monkeypatch):
+        map_def, _, _ = experiment_defs()[name]
+        assert_flags_match_reference(sample_map(map_def, GridSpec(n_div)),
+                                     monkeypatch)
+
+    def test_ripple_and_random_cubics(self, monkeypatch):
+        for n_div in (4, 50, 2000):
+            assert_flags_match_reference(ripple_map(n_div), monkeypatch)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            assert_flags_match_reference(random_piecewise_cubic(rng),
+                                         monkeypatch)
+
+    def test_short_sequences_with_ties_and_plateaus(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for k in range(3200):
+            n = int(rng.integers(3, 41))
+            if k % 2:
+                ys = rng.integers(0, 4, size=n).astype(float)
+            else:
+                ys = np.round(rng.uniform(-0.5, 0.5, size=n), 1)
+            assert_flags_match_reference(make_sampled(np.arange(n), ys),
+                                         monkeypatch)
 
 
 class TestLayerMembership:
