@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -70,14 +71,20 @@ def _fmt(v: float) -> str:
     return format(float(v), _FLOAT_FMT)
 
 
-def _parse_number(text: str) -> float:
-    """Float literal, allowing a/b fractions for exact step sizes."""
+def _parse_number(section: dict, key: str, default: str | None = None) -> float:
+    """Finite float value of section[key], allowing a/b fractions for
+    exact step sizes."""
+    text = section[key] if default is None else section.get(key, default)
     if "/" in text:
         num, den = (float(part) for part in text.split("/", 1))
         if den == 0.0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return num / den
-    return float(text)
+            raise ValueError(f"zero denominator in {key} = {text}")
+        value = num / den
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} = {text} is not a finite number")
+    return value
 
 
 def _read_config(path: str) -> dict:
@@ -110,26 +117,26 @@ def _build_map(section: dict, config_dir: str) -> MapDefinition:
             if not os.path.exists(path):
                 raise ConfigError(f"table file {path!r} does not exist")
             return table_from_csv(path)
-        alpha = _parse_number(section["alpha"])
-        beta = _parse_number(section["beta"])
+        alpha = _parse_number(section, "alpha")
+        beta = _parse_number(section, "beta")
         if kind == "logistic":
             return Logistic(alpha=alpha, beta=beta,
-                            rate=_parse_number(section["rate"]),
+                            rate=_parse_number(section, "rate"),
                             iterations=int(section["iterations"]))
         if kind == "oscillator":
             return Oscillator(alpha=alpha, beta=beta,
-                              gain=_parse_number(section["gain"]),
-                              amplitude=_parse_number(section["amplitude"]),
-                              omega=_parse_number(section["omega"]),
-                              time=_parse_number(section["time"]))
+                              gain=_parse_number(section, "gain"),
+                              amplitude=_parse_number(section, "amplitude"),
+                              omega=_parse_number(section, "omega"),
+                              time=_parse_number(section, "time"))
         if kind == "duffing":
             return Duffing(alpha=alpha, beta=beta,
-                           t_final=_parse_number(section["t_final"]),
-                           step=_parse_number(section["step"]))
+                           t_final=_parse_number(section, "t_final"),
+                           step=_parse_number(section, "step"))
         if kind == "pendulum":
             return Pendulum(alpha=alpha, beta=beta,
-                            t_final=_parse_number(section["t_final"]),
-                            step=_parse_number(section["step"]))
+                            t_final=_parse_number(section, "t_final"),
+                            step=_parse_number(section, "step"))
         raise ConfigError(f"unknown map kind {section.get('kind')!r}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [map] section: {exc}") from exc
@@ -140,7 +147,7 @@ def _build_density(section: dict, map_def: MapDefinition, config_dir: str) -> De
         kind = section["kind"]
         if kind == "sin_plus_two":
             return SinPlusTwo(alpha=map_def.alpha, beta=map_def.beta,
-                              omega=_parse_number(section.get("omega", "5")))
+                              omega=_parse_number(section, "omega", "5"))
         if kind == "uniform":
             return Uniform(alpha=map_def.alpha, beta=map_def.beta)
         if kind == "table":
@@ -148,6 +155,10 @@ def _build_density(section: dict, map_def: MapDefinition, config_dir: str) -> De
             if not os.path.exists(path):
                 raise ConfigError(f"density table file {path!r} does not exist")
             tm = table_from_csv(path)
+            if (tm.alpha, tm.beta) != (map_def.alpha, map_def.beta):
+                raise ConfigError(
+                    f"density table spans [{tm.alpha:g}, {tm.beta:g}] but the map "
+                    f"domain is [{map_def.alpha:g}, {map_def.beta:g}]")
             return TableDensity(alpha=tm.alpha, beta=tm.beta,
                                 xs=tm.xs.copy(), weights=tm.ys.copy())
         raise ConfigError(f"unknown density kind {kind!r}")

@@ -9,6 +9,13 @@ preimage times the inverse-map slope there, and the contributions sum.
 Critical values themselves are never sampled (cell midpoints only), so
 the integrable singularities at interior extrema are represented by
 finite, grid-limited peaks.
+
+Within an interval the (point, covering branch) pairs are evaluated in
+blocks of whole points holding at most ``PAIR_BLOCK`` pairs: one
+vectorized preimage, inverse and slope call per block, then a per-point
+sum in ascending branch order.  A map with hundreds of branches thus
+costs a few array calls per interval, and the temporaries stay bounded
+by the block size whatever the grid or branch count.
 """
 
 from __future__ import annotations
@@ -19,11 +26,15 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .maps import SampledMap
-from .partition import LayerTable, MonotonePartition
+from .partition import LayerTable, MonotonePartition, u_of_y
 from .unfold import UnfoldedMap, eta_derivative, eta_eval
 
 SIMPSON_PANELS = 2048
 DEFAULT_CELLS = 500
+
+# Upper bound on the (point, branch) pairs evaluated together; a point
+# whose index set alone is larger forms a block of its own.
+PAIR_BLOCK = 4096
 
 
 def simpson_integral(f, a: float, b: float, panels: int = SIMPSON_PANELS) -> float:
@@ -167,17 +178,26 @@ def pushforward_density(
         n_cells = _interval_cells(hi - lo, delta)
         step = (hi - lo) / n_cells
         y = lo + (np.arange(n_cells) + 0.5) * step
-        acc = np.zeros(n_cells)
-        for j in sorted(table.index_sets[i]):
-            sign = np.sign(p.lambdas[j - 1])
-            u = p.masses[j - 1] + (y - p.g_alphas[j - 1]) * sign
+        branches = np.array(sorted(table.index_sets[i]))
+        acc = np.empty(n_cells)
+        per_block = max(1, PAIR_BLOCK // len(branches))
+        for start in range(0, n_cells, per_block):
+            stop = min(start + per_block, n_cells)
+            # pairs point-major, branches ascending within a point, so
+            # bincount adds each point's terms in the order of a sum
+            # over its sorted index set
+            point = np.repeat(np.arange(stop - start), len(branches))
+            j = np.tile(branches, stop - start)
+            # cell midpoints next to a collapsed critical value can sit
+            # just past the image of a covering branch
+            u = u_of_y(y[start:stop][point], j, p, check=False)
             x = eta_eval(um, u)
             if gprime is None:
                 jac = eta_derivative(um, u)
             else:
                 with np.errstate(divide="ignore"):
                     jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
-            acc += spec.pdf(x) * jac
+            acc[start:stop] = np.bincount(point, weights=spec.pdf(x) * jac)
         ys_out.append(y)
         mu_out.append(acc)
         id_out.append(np.full(n_cells, i, dtype=int))

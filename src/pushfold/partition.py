@@ -187,41 +187,51 @@ def detect_extrema(sm: SampledMap, merge_tol: float = DEFAULT_MERGE_TOL) -> Mono
     )
 
 
-def layer_membership(y: float, j: int, p: MonotonePartition, strict: bool = True) -> bool:
-    """True iff y lies inside the image interval of branch j (1-based).
-
-    With ``strict`` (the default) the branch-endpoint images are
-    excluded; with ``strict=False`` they are included.
-    """
-    if not 1 <= j <= p.n_branches:
-        raise BranchError(f"branch index {j} outside 1..{p.n_branches}")
+def _branch_offset(y, j, p: MonotonePartition):
+    """Distance of y past the branch-j start image along the branch
+    direction, and the branch's image length; y and j broadcast."""
+    j = np.asarray(j)
+    unknown = (j < 1) | (j > p.n_branches)
+    if unknown.any():
+        raise BranchError(
+            f"branch index {j.flat[np.argmax(unknown)]} outside 1..{p.n_branches}")
     lam = p.lambdas[j - 1]
-    t = (y - p.g_alphas[j - 1]) * np.sign(lam)
+    return (y - p.g_alphas[j - 1]) * np.sign(lam), np.abs(lam)
+
+
+def layer_membership(y, j, p: MonotonePartition, strict: bool = True):
+    """True where y lies inside the image interval of branch j (1-based).
+
+    y and j broadcast against each other; two scalars give a bool.  With
+    ``strict`` (the default) the branch-endpoint images are excluded;
+    with ``strict=False`` they are included.
+    """
+    t, width = _branch_offset(y, j, p)
     if strict:
-        return bool(0.0 < t < abs(lam))
-    return bool(0.0 <= t <= abs(lam))
+        inside = (0.0 < t) & (t < width)
+    else:
+        inside = (0.0 <= t) & (t <= width)
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
-def u_of_y(y: float, j: int, p: MonotonePartition) -> float:
+def u_of_y(y, j, p: MonotonePartition, check: bool = True):
     """Unfolded coordinate of the branch-j preimage of y.
 
-    Defined for y in the closed image interval of branch j; the branch
-    start image maps to masses[j-1], the end image to masses[j].
+    y and j broadcast against each other; two scalars give a float.  The
+    branch start image maps to masses[j-1], the end image to masses[j].
+    With ``check`` a y outside the closed image interval of its branch
+    raises BranchError; without it the branch line is extended past its
+    ends.
     """
-    if not layer_membership(y, j, p, strict=False):
-        raise BranchError(f"y={y} outside the image of branch {j}")
-    lam = p.lambdas[j - 1]
-    return float(p.masses[j - 1] + (y - p.g_alphas[j - 1]) * np.sign(lam))
-
-
-def _local_kind(p: MonotonePartition, j: int) -> str:
-    """Classify partition point j as 'min' or 'max' of the map."""
-    k = p.n_branches
-    if j == 0:
-        return "min" if p.lambdas[0] > 0 else "max"
-    if j == k:
-        return "min" if p.lambdas[k - 1] < 0 else "max"
-    return "min" if p.lambdas[j - 1] < 0 else "max"
+    t, width = _branch_offset(y, j, p)
+    if check:
+        outside = ~((0.0 <= t) & (t <= width))
+        if outside.any():
+            q = np.argmax(outside)
+            bad_y, bad_j = (np.broadcast_to(a, outside.shape).flat[q] for a in (y, j))
+            raise BranchError(f"y={bad_y} outside the image of branch {bad_j}")
+    u = p.masses[np.asarray(j) - 1] + t
+    return float(u) if np.ndim(u) == 0 else u
 
 
 def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL) -> LayerTable:
@@ -239,75 +249,65 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     g_max = float(ga.max())
     tol_abs = value_tol * (g_max - g_min)
 
+    # A cluster runs while the images stay within tol_abs of its first one.
     order = np.argsort(ga, kind="stable")
     sorted_vals = ga[order]
-    clusters = [[0]]
+    starts = [0]
     for t in range(1, len(sorted_vals)):
-        if sorted_vals[t] - sorted_vals[clusters[-1][0]] > tol_abs:
-            clusters.append([t])
-        else:
-            clusters[-1].append(t)
-
-    values = np.empty(len(clusters))
+        if sorted_vals[t] - sorted_vals[starts[-1]] > tol_abs:
+            starts.append(t)
+    values = np.array([vals.mean() for vals in np.split(sorted_vals, starts[1:])])
+    values[0], values[-1] = g_min, g_max
     member_of = np.empty(len(ga), dtype=int)
-    for ci, members in enumerate(clusters):
-        vals = sorted_vals[members]
-        if ci == 0:
-            values[ci] = g_min
-        elif ci == len(clusters) - 1:
-            values[ci] = g_max
-        else:
-            values[ci] = vals.mean()
-        for t in members:
-            member_of[order[t]] = ci
+    member_of[order] = np.searchsorted(starts, np.arange(len(ga)), side="right") - 1
 
     # A branch whose two boundary images collapse into one cluster cannot
     # be classified as isolated critical points: the collapse is
     # inconsistent at this tolerance.
-    for j in range(p.n_branches):
-        if member_of[j] == member_of[j + 1]:
-            raise TableConstructionError(
-                f"branch {j + 1} spans less than the duplicate-collapse "
-                f"tolerance {tol_abs:g}; lower value_tol or merge the branch"
-            )
+    collapsed = np.flatnonzero(member_of[:-1] == member_of[1:])
+    if len(collapsed):
+        raise TableConstructionError(
+            f"branch {collapsed[0] + 1} spans less than the duplicate-collapse "
+            f"tolerance {tol_abs:g}; lower value_tol or merge the branch"
+        )
 
+    branches = np.arange(1, p.n_branches + 1)
     midpoints = 0.5 * (values[:-1] + values[1:])
-    index_sets = []
-    for c in midpoints:
-        covering = frozenset(
-            j for j in range(1, p.n_branches + 1) if layer_membership(float(c), j, p)
+    covering = layer_membership(midpoints[:, None], branches, p)
+    uncovered = ~covering.any(axis=1)
+    if uncovered.any():
+        raise TableConstructionError(
+            f"no branch covers the interval around {midpoints[np.argmax(uncovered)]}"
         )
-        if not covering:
-            raise TableConstructionError(
-                f"no branch covers the interval around {c}"
-            )
-        index_sets.append(covering)
+    index_sets = tuple(frozenset(branches[row].tolist()) for row in covering)
 
-    classifications = []
-    for ci in range(len(values)):
-        counts = {"interior_minima": 0, "interior_maxima": 0,
-                  "endpoint_minima": 0, "endpoint_maxima": 0}
-        for j in range(p.n_branches + 1):
-            if member_of[j] != ci:
-                continue
-            kind = _local_kind(p, j)
-            where = "endpoint" if j in (0, p.n_branches) else "interior"
-            counts[f"{where}_{'minima' if kind == 'min' else 'maxima'}"] += 1
-        # Regular preimages live in branches not bounded by a member of
-        # this cluster; in a bounded branch the cluster value is the
-        # critical point itself, already counted above.
-        regular = sum(
-            1 for j in range(1, p.n_branches + 1)
-            if member_of[j - 1] != ci and member_of[j] != ci
-            and layer_membership(float(values[ci]), j, p)
-        )
-        classifications.append(BoundaryClassification(regular=regular, **counts))
+    # Partition point j is a minimum when the map falls into it (or, at
+    # the left end, rises out of it).
+    is_min = np.concatenate([[p.lambdas[0] > 0], p.lambdas < 0])
+    is_end = np.zeros(len(ga), dtype=bool)
+    is_end[[0, -1]] = True
+
+    def per_cluster(mask):
+        return np.bincount(member_of[mask], minlength=len(values)).tolist()
+
+    # Regular preimages live in branches not bounded by a member of a
+    # cluster; in a bounded branch the cluster value is the critical
+    # point itself, already counted among the extrema.
+    cluster = np.arange(len(values))[:, None]
+    bounded = (member_of[:-1] == cluster) | (member_of[1:] == cluster)
+    inside = layer_membership(values[:, None], branches, p)
+    classifications = tuple(
+        BoundaryClassification(*counts) for counts in zip(
+            per_cluster(is_min & ~is_end), per_cluster(~is_min & ~is_end),
+            (inside & ~bounded).sum(axis=1).tolist(),
+            per_cluster(is_min & is_end), per_cluster(~is_min & is_end))
+    )
 
     return LayerTable(
         values=values,
         midpoints=midpoints,
-        index_sets=tuple(index_sets),
-        classifications=tuple(classifications),
+        index_sets=index_sets,
+        classifications=classifications,
         value_tol_abs=float(tol_abs),
     )
 
@@ -327,10 +327,8 @@ def index_set(y: float, table: LayerTable, p: MonotonePartition) -> frozenset:
     hits = np.abs(table.values - y) <= eq_tol
     if hits.any():
         b = float(table.values[int(np.argmax(hits))])
-        return frozenset(
-            j for j in range(1, p.n_branches + 1)
-            if layer_membership(b, j, p, strict=False)
-        )
+        branches = np.arange(1, p.n_branches + 1)
+        return frozenset(branches[layer_membership(b, branches, p, strict=False)].tolist())
     i = int(np.searchsorted(table.values, y, side="right")) - 1
     i = min(i, len(table.index_sets) - 1)
     return table.index_sets[i]

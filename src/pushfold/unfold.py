@@ -65,11 +65,20 @@ def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
     )
 
 
-def _locate(um: UnfoldedMap, u: np.ndarray) -> np.ndarray:
-    # right-sided lookup: a query exactly on a knot uses the segment to
-    # its right; the top knot falls back to the last segment
-    idx = np.searchsorted(um.knots_u, u, side="right") - 1
-    return np.clip(idx, 0, len(um.knots_u) - 2)
+def _bracket(um: UnfoldedMap, u):
+    """Range-checked queries clipped to [0, total_variation], with the
+    index of the interpolant segment bracketing each one.
+
+    The lookup is right-sided: a query exactly on a knot uses the segment
+    to its right; the top knot falls back to the last segment.
+    """
+    ua = np.atleast_1d(np.asarray(u, dtype=float))
+    slack = _END_SLACK * um.total_variation
+    if (ua < -slack).any() or (ua > um.total_variation + slack).any():
+        raise RangeError(f"u outside [0, {um.total_variation}]")
+    ua = np.clip(ua, 0.0, um.total_variation)
+    idx = np.searchsorted(um.knots_u, ua, side="right") - 1
+    return ua, np.clip(idx, 0, len(um.knots_u) - 2)
 
 
 def eta_eval(um: UnfoldedMap, u):
@@ -79,12 +88,7 @@ def eta_eval(um: UnfoldedMap, u):
     [0, total_variation] (clamped), raises RangeError further out.
     """
     scalar = np.isscalar(u)
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
-    slack = _END_SLACK * um.total_variation
-    if (ua < -slack).any() or (ua > um.total_variation + slack).any():
-        raise RangeError(f"u outside [0, {um.total_variation}]")
-    ua = np.clip(ua, 0.0, um.total_variation)
-    idx = _locate(um, ua)
+    ua, idx = _bracket(um, u)
     ku, kx = um.knots_u, um.knots_x
     x = kx[idx] + (ua - ku[idx]) * (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
     x = np.where(ua >= ku[-1], kx[-1], x)
@@ -98,12 +102,7 @@ def eta_derivative(um: UnfoldedMap, u):
     the last segment's.
     """
     scalar = np.isscalar(u)
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
-    slack = _END_SLACK * um.total_variation
-    if (ua < -slack).any() or (ua > um.total_variation + slack).any():
-        raise RangeError(f"u outside [0, {um.total_variation}]")
-    ua = np.clip(ua, 0.0, um.total_variation)
-    idx = _locate(um, ua)
+    ua, idx = _bracket(um, u)
     ku, kx = um.knots_u, um.knots_x
     du = ku[idx + 1] - ku[idx]
     if (du <= 0.0).any():

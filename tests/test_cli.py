@@ -101,6 +101,45 @@ class TestConfigValidation:
         assert not (out / "mu_y.csv").exists()
 
 
+    @pytest.mark.parametrize("config,key,value", [
+        ("logistic3", "omega", "nan"),
+        ("logistic3", "rate", "-inf"),
+        ("oscillator", "gain", "nan"),
+        ("oscillator", "time", "nan"),
+        ("oscillator", "amplitude", "inf"),
+        ("duffing", "step", "5/nan"),
+        ("duffing", "t_final", "1e999"),
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys,
+                                                 config, key, value):
+        body = "\n".join(f"{key} = {value}" if line.split(" = ")[0] == key else line
+                         for line in (CONFIG_DIR / f"{config}.cfg").read_text().splitlines())
+        cfg = write_config(tmp_path / "bad.cfg", body)
+        out = tmp_path / "o"
+        assert run("density", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{key} = {value} is not a finite number" in err
+        assert not (out / "mu_y.csv").exists()
+
+    @pytest.mark.parametrize("lo,hi,code", [
+        (0.2, 0.8, 2), (-0.5, 1.5, 2), (0.0, 0.9, 2), (0.0, 1.0, 0)])
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    def test_density_table_must_span_the_map_domain(self, tmp_path, capsys,
+                                                    lo, hi, code, command):
+        (tmp_path / "identity.csv").write_text(IDENTITY_CSV)
+        (tmp_path / "weights.csv").write_text(
+            "x,w\n" + "".join(f"{x},1\n" for x in np.linspace(lo, hi, 11)))
+        body = IDENTITY_CFG.replace("kind = uniform",
+                                    "kind = table\npath = weights.csv")
+        cfg = write_config(tmp_path / "weighted.cfg", body)
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--out", out) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"density table spans [{lo:g}, {hi:g}] but the map domain is [0, 1]" in err
+            assert not (out / "mu_y.csv").exists()
+
+
 class TestCsvWriter:
     """_write_csv writes each float as format(float(v), ".17g") and each
     integer as str(v), the format the artifacts have always used."""

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_sampled
+from conftest import (
+    experiment_defs,
+    make_sampled,
+    random_piecewise_cubic,
+    ripple_map,
+)
 
+from pushfold import density
 from pushfold import (
     DegenerateInputError,
+    GridSpec,
+    Logistic,
     SinPlusTwo,
+    TableConstructionError,
     TableDensity,
     Uniform,
     analytic_derivative,
@@ -17,6 +26,7 @@ from pushfold import (
     detect_extrema,
     pushforward_density,
     index_set,
+    sample_map,
     simpson_integral,
     u_of_y,
 )
@@ -161,6 +171,102 @@ class TestFdfDensity:
     def test_bad_delta(self, parabola_coarse):
         with pytest.raises(ValueError):
             pipeline(parabola_coarse, Uniform(alpha=-1.0, beta=1.0), delta=-1.0)
+
+
+def reference_pushforward(p, t, um, spec, delta, gprime=None):
+    """Oracle for the blocked evaluation: one eta_eval/eta_derivative
+    call per (interval, branch) pair, summed branch by branch."""
+    mu_out = []
+    for i in range(len(t.values) - 1):
+        lo, hi = t.values[i], t.values[i + 1]
+        n_cells = max(1, int(round((hi - lo) / delta)))
+        y = lo + (np.arange(n_cells) + 0.5) * ((hi - lo) / n_cells)
+        acc = np.zeros(n_cells)
+        for j in sorted(t.index_sets[i]):
+            sign = np.sign(p.lambdas[j - 1])
+            u = p.masses[j - 1] + (y - p.g_alphas[j - 1]) * sign
+            x = eta_eval(um, u)
+            if gprime is None:
+                jac = eta_derivative(um, u)
+            else:
+                with np.errstate(divide="ignore"):
+                    jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
+            acc += spec.pdf(x) * jac
+        mu_out.append(acc)
+    return np.concatenate(mu_out)
+
+
+def assert_matches_reference(sm, spec, gprime=None):
+    """Blocked and per-branch evaluation agree bit for bit."""
+    p, t, um, curve = pipeline(sm, spec, gprime=gprime)
+    expected = reference_pushforward(p, t, um, spec, curve.delta, gprime)
+    assert curve.mu_ys.tobytes() == expected.tobytes()
+    return t, curve
+
+
+def sampled_gradient(sm):
+    """A dg/dx callable for maps without a closed form."""
+    slope = np.gradient(sm.ys, sm.xs)
+    return lambda x: np.interp(x, sm.xs, slope)
+
+
+class TestBlockedPushforward:
+    @pytest.mark.parametrize("jacobian", ["interpolant", "analytic"])
+    @pytest.mark.parametrize("name", sorted(experiment_defs()))
+    def test_reference_experiments(self, name, jacobian):
+        map_def, spec, grid = experiment_defs()[name]
+        sm = sample_map(map_def, grid)
+        gprime = None
+        if jacobian == "analytic":
+            gprime = analytic_derivative(map_def) or sampled_gradient(sm)
+        assert_matches_reference(sm, spec, gprime)
+
+    @pytest.mark.parametrize("jacobian", ["interpolant", "analytic"])
+    @pytest.mark.parametrize("iterations", [5, 6, 7, 8, 9])
+    def test_logistic_iterations(self, iterations, jacobian):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        gprime = analytic_derivative(m) if jacobian == "analytic" else None
+        assert_matches_reference(sample_map(m, GridSpec(20000)),
+                                 SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0),
+                                 gprime)
+
+    def test_ripple_and_random_cubics(self):
+        sm = ripple_map()
+        spec = SinPlusTwo(alpha=1.0, beta=21.0, omega=5.0)
+        assert_matches_reference(sm, spec)
+        assert_matches_reference(sm, spec, sampled_gradient(sm))
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(40):
+            sm = random_piecewise_cubic(rng)
+            spec = SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0)
+            try:
+                assert_matches_reference(sm, spec)
+            except TableConstructionError:
+                continue
+            assert_matches_reference(sm, spec, sampled_gradient(sm))
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("budget", [1, 3, 5, 16, 4095])
+    def test_block_boundaries(self, budget, monkeypatch):
+        # logistic third iterate: index sets of 2, 6 and 8 branches,
+        # so small budgets split intervals into many blocks and leave
+        # some points with more covering branches than the budget
+        monkeypatch.setattr(density, "PAIR_BLOCK", budget)
+        calls = []
+        monkeypatch.setattr(density, "eta_eval",
+                            lambda um, u: calls.append(len(u)) or eta_eval(um, u))
+        sm = sample_map(Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3),
+                        GridSpec(400))
+        t, curve = assert_matches_reference(
+            sm, SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0))
+        sizes = [len(s) for s in t.index_sets]
+        assert sizes == [2, 6, 8]
+        per_block = [max(1, budget // k) for k in sizes]
+        blocks = [-(-n // b) for n, b in zip(np.bincount(curve.interval_ids), per_block)]
+        assert len(calls) == sum(blocks)
+        assert max(calls) <= max(budget, max(sizes))
 
 
 class TestCurveMass:

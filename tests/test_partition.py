@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from conftest import (
 
 from pushfold import partition
 from pushfold import (
+    BoundaryClassification,
     BranchError,
     DegenerateInputError,
     GridSpec,
     Logistic,
     RangeError,
+    TableConstructionError,
     build_layer_table,
     detect_extrema,
     index_set,
@@ -159,6 +162,49 @@ class TestExtremumFlagsMatchReference:
                                          monkeypatch)
 
 
+class TestVectorizedBranchQueries:
+    """Array calls of layer_membership and u_of_y agree element by
+    element with their scalar calls."""
+
+    def test_broadcast_matches_scalar_calls(self):
+        p = detect_extrema(ripple_map())
+        ys = np.concatenate([np.linspace(0.0, 12.0, 41), p.g_alphas])
+        branches = np.arange(1, p.n_branches + 1)
+        for strict in (True, False):
+            grid = layer_membership(ys[:, None], branches, p, strict=strict)
+            assert grid.shape == (len(ys), p.n_branches)
+            for (q, c), inside in np.ndenumerate(grid):
+                assert inside == layer_membership(float(ys[q]), int(branches[c]),
+                                                  p, strict=strict)
+        us = u_of_y(ys[:, None], branches, p, check=False)
+        closed = layer_membership(ys[:, None], branches, p, strict=False)
+        for (q, c), u in np.ndenumerate(us):
+            if closed[q, c]:
+                assert u == u_of_y(float(ys[q]), int(branches[c]), p)
+
+    def test_pairs_of_equal_shape(self, parabola_coarse):
+        p = detect_extrema(parabola_coarse)
+        u = u_of_y(np.array([0.25, 0.25, 1.0]), np.array([1, 2, 2]), p)
+        assert u.tolist() == [0.75, 1.25, 2.0]
+
+    def test_unchecked_extends_the_branch_line(self, parabola_coarse):
+        p = detect_extrema(parabola_coarse)
+        assert u_of_y(1.5, 1, p, check=False) == -0.5
+        assert u_of_y(-0.5, 2, p, check=False) == 0.5
+
+    def test_first_outside_pair_is_named(self, parabola_coarse):
+        p = detect_extrema(parabola_coarse)
+        with pytest.raises(BranchError, match="y=1.5 outside the image of branch 2"):
+            u_of_y(np.array([0.5, 1.5, 2.5]), 2, p)
+
+    def test_branch_index_out_of_range(self, parabola_coarse):
+        p = detect_extrema(parabola_coarse)
+        with pytest.raises(BranchError, match="branch index 3 outside 1..2"):
+            layer_membership(0.5, np.array([1, 3, 0]), p)
+        with pytest.raises(BranchError):
+            u_of_y(0.5, 0, p, check=False)
+
+
 class TestLayerMembership:
     def test_inside_decreasing_branch(self, parabola_coarse):
         p = detect_extrema(parabola_coarse)
@@ -167,6 +213,10 @@ class TestLayerMembership:
     def test_boundary_excluded(self, parabola_coarse):
         p = detect_extrema(parabola_coarse)
         assert not layer_membership(1.0, 1, p)
+        for j in range(1, p.n_branches + 1):
+            for end in p.g_alphas[j - 1:j + 1]:
+                assert not layer_membership(float(end), j, p)
+                assert layer_membership(float(end), j, p, strict=False)
 
     def test_below_branch_image(self, parabola_coarse):
         p = detect_extrema(parabola_coarse)
@@ -238,6 +288,118 @@ class TestLayerTable:
         p = detect_extrema(ripple_map())
         t = build_layer_table(p)
         assert len(t.values) == 6
+
+
+def reference_layer_table(p, value_tol=partition.DEFAULT_VALUE_TOL):
+    """Oracle for build_layer_table: the clustering, index sets and
+    classifications as plain loops over branches and critical values."""
+
+    def inside(y, j):
+        lam = p.lambdas[j - 1]
+        t = (y - p.g_alphas[j - 1]) * np.sign(lam)
+        return bool(0.0 < t < abs(lam))
+
+    ga = p.g_alphas
+    g_min, g_max = float(ga.min()), float(ga.max())
+    tol_abs = value_tol * (g_max - g_min)
+    order = np.argsort(ga, kind="stable")
+    sorted_vals = ga[order]
+    clusters = [[0]]
+    for t in range(1, len(sorted_vals)):
+        if sorted_vals[t] - sorted_vals[clusters[-1][0]] > tol_abs:
+            clusters.append([t])
+        else:
+            clusters[-1].append(t)
+    values = np.empty(len(clusters))
+    member_of = np.empty(len(ga), dtype=int)
+    for ci, members in enumerate(clusters):
+        if ci == 0:
+            values[ci] = g_min
+        elif ci == len(clusters) - 1:
+            values[ci] = g_max
+        else:
+            values[ci] = sorted_vals[members].mean()
+        for t in members:
+            member_of[order[t]] = ci
+    k = p.n_branches
+    for j in range(k):
+        if member_of[j] == member_of[j + 1]:
+            raise TableConstructionError(
+                f"branch {j + 1} spans less than the duplicate-collapse "
+                f"tolerance {tol_abs:g}; lower value_tol or merge the branch")
+    midpoints = 0.5 * (values[:-1] + values[1:])
+    index_sets = []
+    for c in midpoints:
+        covering = frozenset(j for j in range(1, k + 1) if inside(float(c), j))
+        if not covering:
+            raise TableConstructionError(f"no branch covers the interval around {c}")
+        index_sets.append(covering)
+    classifications = []
+    for ci in range(len(values)):
+        counts = dict.fromkeys(("interior_minima", "interior_maxima",
+                                "endpoint_minima", "endpoint_maxima"), 0)
+        for j in range(k + 1):
+            if member_of[j] != ci:
+                continue
+            if j == 0:
+                kind = "minima" if p.lambdas[0] > 0 else "maxima"
+            else:
+                kind = "minima" if p.lambdas[j - 1] < 0 else "maxima"
+            where = "endpoint" if j in (0, k) else "interior"
+            counts[f"{where}_{kind}"] += 1
+        regular = sum(1 for j in range(1, k + 1)
+                      if member_of[j - 1] != ci and member_of[j] != ci
+                      and inside(float(values[ci]), j))
+        classifications.append(BoundaryClassification(regular=regular, **counts))
+    return values, midpoints, tuple(index_sets), tuple(classifications), tol_abs
+
+
+def assert_table_matches_reference(p, value_tol=partition.DEFAULT_VALUE_TOL):
+    try:
+        expected = reference_layer_table(p, value_tol)
+    except TableConstructionError as exc:
+        with pytest.raises(TableConstructionError, match=re.escape(str(exc))):
+            build_layer_table(p, value_tol)
+        return False
+    t = build_layer_table(p, value_tol)
+    values, midpoints, index_sets, classifications, tol_abs = expected
+    assert t.values.tobytes() == values.tobytes()
+    assert t.midpoints.tobytes() == midpoints.tobytes()
+    assert t.index_sets == index_sets
+    assert t.classifications == classifications
+    for c in t.classifications:
+        assert all(type(v) is int for v in dataclasses.astuple(c))
+    assert t.value_tol_abs == tol_abs
+    return True
+
+
+class TestLayerTableMatchesReference:
+    @pytest.mark.parametrize("name", sorted(experiment_defs()))
+    def test_reference_experiments(self, name):
+        map_def, _, grid = experiment_defs()[name]
+        assert assert_table_matches_reference(detect_extrema(sample_map(map_def, grid)))
+
+    @pytest.mark.parametrize("iterations", [5, 6, 7, 8, 9])
+    def test_logistic_iterations(self, iterations):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        for n_div in (2000, 20000):
+            assert assert_table_matches_reference(
+                detect_extrema(sample_map(m, GridSpec(n_div))))
+
+    def test_ripple_and_random_cubics(self):
+        p = detect_extrema(ripple_map())
+        for value_tol in (1e-9, 1e-3, 5e-2):
+            assert_table_matches_reference(p, value_tol)
+        rng = np.random.default_rng(17)
+        built = failed = 0
+        for _ in range(60):
+            p = detect_extrema(random_piecewise_cubic(rng))
+            for value_tol in (1e-9, partition.DEFAULT_VALUE_TOL, 2e-2):
+                if assert_table_matches_reference(p, value_tol):
+                    built += 1
+                else:
+                    failed += 1
+        assert built > 100 and failed > 0
 
 
 class TestIndexSet:
