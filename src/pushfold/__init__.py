@@ -11,12 +11,12 @@ and comparison metrics are included for validation.
 """
 
 from .density import (
+    DENSITY_KINDS,
     DensityCurve,
     DensitySpec,
     SinPlusTwo,
     TableDensity,
     Uniform,
-    build_density_spec,
     curve_mass,
     pushforward_density,
     simpson_integral,
@@ -31,6 +31,7 @@ from .errors import (
     UnfoldError,
 )
 from .maps import (
+    MAP_KINDS,
     Duffing,
     GridSpec,
     Logistic,
@@ -39,7 +40,6 @@ from .maps import (
     Pendulum,
     SampledMap,
     TableMap,
-    analytic_derivative,
     eval_map,
     integrate_ivp,
     logistic_iterate,

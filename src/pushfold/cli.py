@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,14 +23,7 @@ import time
 
 import numpy as np
 
-from .density import (
-    DEFAULT_CELLS,
-    DensitySpec,
-    SinPlusTwo,
-    TableDensity,
-    Uniform,
-    pushforward_density,
-)
+from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_density
 from .errors import (
     BranchError,
     ConfigError,
@@ -39,31 +33,20 @@ from .errors import (
     TableConstructionError,
     UnfoldError,
 )
-from .maps import (
-    Duffing,
-    GridSpec,
-    Logistic,
-    MapDefinition,
-    Oscillator,
-    Pendulum,
-    analytic_derivative,
-    sample_map,
-    table_from_csv,
-)
+from .maps import MAP_KINDS, GridSpec, sample_map, table_from_csv
 from .oracle import McConfig, compare, mc_density
 from .partition import build_layer_table, detect_extrema
 from .unfold import build_unfolded
 
 _FLOAT_FMT = ".17g"
 
+# [map] and [density] take the keys of their kind; see _build_variant
 _SECTION_KEYS = {
-    "map": {"kind", "alpha", "beta", "rate", "iterations", "gain", "amplitude",
-            "omega", "time", "t_final", "step", "path"},
-    "density": {"kind", "omega", "path"},
+    "map": None,
+    "density": None,
     "grid": {"n_div"},
     "pushforward": {"delta_cells", "jacobian"},
     "mc": {"n_samples", "n_bins", "seed"},
-    "output": set(),
 }
 
 
@@ -71,10 +54,10 @@ def _fmt(v: float) -> str:
     return format(float(v), _FLOAT_FMT)
 
 
-def _parse_number(section: dict, key: str, default: str | None = None) -> float:
+def _parse_number(section: dict, key: str) -> float:
     """Finite float value of section[key], allowing a/b fractions for
     exact step sizes."""
-    text = section[key] if default is None else section.get(key, default)
+    text = section[key]
     if "/" in text:
         num, den = (float(part) for part in text.split("/", 1))
         if den == 0.0:
@@ -91,7 +74,10 @@ def _read_config(path: str) -> dict:
     import configparser
 
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     sections = {}
@@ -99,7 +85,7 @@ def _read_config(path: str) -> dict:
         if name not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{name}]")
         keys = dict(parser.items(name))
-        unknown = set(keys) - _SECTION_KEYS[name]
+        unknown = set(keys) - (_SECTION_KEYS[name] or set(keys))
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
         sections[name] = keys
@@ -109,61 +95,44 @@ def _read_config(path: str) -> dict:
     return sections
 
 
-def _build_map(section: dict, config_dir: str) -> MapDefinition:
+def _build_variant(name: str, kinds: dict, section: dict, config_dir: str,
+                   domain: tuple | None = None):
+    """The variant a [map] or [density] section names by its kind.
+
+    The keys are the kind's init fields, required where the field has no
+    default; a table kind reads ``path`` instead.  A density passes the
+    map's (alpha, beta) as ``domain`` rather than taking them as keys.
+    """
     try:
         kind = section["kind"]
-        if kind == "table":
+        if kind not in kinds:
+            raise ConfigError(f"unknown {name} kind {kind!r}")
+        cls = kinds[kind]
+        fields = [f for f in dataclasses.fields(cls) if f.init
+                  and not (domain and f.name in ("alpha", "beta"))]
+        from_file = kind == "table"
+        keys = {"path"} if from_file else {f.name for f in fields}
+        unknown = set(section) - keys - {"kind"}
+        if unknown:
+            raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+        if from_file:
             path = os.path.join(config_dir, section["path"])
             if not os.path.exists(path):
-                raise ConfigError(f"table file {path!r} does not exist")
-            return table_from_csv(path)
-        alpha = _parse_number(section, "alpha")
-        beta = _parse_number(section, "beta")
-        if kind == "logistic":
-            return Logistic(alpha=alpha, beta=beta,
-                            rate=_parse_number(section, "rate"),
-                            iterations=int(section["iterations"]))
-        if kind == "oscillator":
-            return Oscillator(alpha=alpha, beta=beta,
-                              gain=_parse_number(section, "gain"),
-                              amplitude=_parse_number(section, "amplitude"),
-                              omega=_parse_number(section, "omega"),
-                              time=_parse_number(section, "time"))
-        if kind == "duffing":
-            return Duffing(alpha=alpha, beta=beta,
-                           t_final=_parse_number(section, "t_final"),
-                           step=_parse_number(section, "step"))
-        if kind == "pendulum":
-            return Pendulum(alpha=alpha, beta=beta,
-                            t_final=_parse_number(section, "t_final"),
-                            step=_parse_number(section, "step"))
-        raise ConfigError(f"unknown map kind {section.get('kind')!r}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad [map] section: {exc}") from exc
-
-
-def _build_density(section: dict, map_def: MapDefinition, config_dir: str) -> DensitySpec:
-    try:
-        kind = section["kind"]
-        if kind == "sin_plus_two":
-            return SinPlusTwo(alpha=map_def.alpha, beta=map_def.beta,
-                              omega=_parse_number(section, "omega", "5"))
-        if kind == "uniform":
-            return Uniform(alpha=map_def.alpha, beta=map_def.beta)
-        if kind == "table":
-            path = os.path.join(config_dir, section["path"])
-            if not os.path.exists(path):
-                raise ConfigError(f"density table file {path!r} does not exist")
+                raise ConfigError(f"{name} table file {path!r} does not exist")
             tm = table_from_csv(path)
-            if (tm.alpha, tm.beta) != (map_def.alpha, map_def.beta):
+            if domain is not None and (tm.alpha, tm.beta) != domain:
                 raise ConfigError(
                     f"density table spans [{tm.alpha:g}, {tm.beta:g}] but the map "
-                    f"domain is [{map_def.alpha:g}, {map_def.beta:g}]")
-            return TableDensity(alpha=tm.alpha, beta=tm.beta,
-                                xs=tm.xs.copy(), weights=tm.ys.copy())
-        raise ConfigError(f"unknown density kind {kind!r}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad [density] section: {exc}") from exc
+                    f"domain is [{domain[0]:g}, {domain[1]:g}]")
+            # both table kinds take (alpha, beta, xs, values)
+            return cls(tm.alpha, tm.beta, tm.xs, tm.ys)
+        values = {f.name: int(section[f.name]) if f.type in (int, "int")
+                  else _parse_number(section, f.name)
+                  for f in fields
+                  if f.name in section or f.default is dataclasses.MISSING}
+        return cls(*(domain or ()), **values)
+    except (KeyError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad [{name}] section: {exc}") from exc
 
 
 class Experiment:
@@ -172,8 +141,9 @@ class Experiment:
     def __init__(self, config_path: str, seed_override: int | None = None):
         sections = _read_config(config_path)
         config_dir = os.path.dirname(os.path.abspath(config_path))
-        self.map_def = _build_map(sections["map"], config_dir)
-        self.density = _build_density(sections["density"], self.map_def, config_dir)
+        self.map_def = _build_variant("map", MAP_KINDS, sections["map"], config_dir)
+        self.density = _build_variant("density", DENSITY_KINDS, sections["density"],
+                                      config_dir, (self.map_def.alpha, self.map_def.beta))
         try:
             self.grid = GridSpec(int(sections["grid"]["n_div"]))
         except (KeyError, ValueError) as exc:
@@ -197,11 +167,10 @@ class Experiment:
                     n_bins=int(m.get("n_bins", "200")),
                     seed=int(m.get("seed", "0")),
                 )
+                if seed_override is not None:
+                    self.mc = dataclasses.replace(self.mc, seed=seed_override)
             except ValueError as exc:
                 raise ConfigError(f"bad [mc] section: {exc}") from exc
-        if seed_override is not None and self.mc is not None:
-            self.mc = McConfig(n_samples=self.mc.n_samples,
-                               n_bins=self.mc.n_bins, seed=seed_override)
         self.fingerprint = hashlib.sha256(
             json.dumps({s: dict(sorted(v.items())) for s, v in sections.items()},
                        sort_keys=True).encode()
@@ -210,12 +179,11 @@ class Experiment:
     def gprime(self):
         if self.jacobian != "analytic":
             return None
-        deriv = analytic_derivative(self.map_def)
-        if deriv is None:
+        if self.map_def.derivative is None:
             raise ConfigError(
                 f"map kind {type(self.map_def).__name__} has no analytic derivative"
             )
-        return deriv
+        return self.map_def.derivative
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -91,8 +91,8 @@ class Uniform(DensitySpec):
 class TableDensity(DensitySpec):
     """Nonnegative weights at sample points, linearly interpolated."""
 
-    xs: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    weights: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
+    xs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.xs).all() and np.isfinite(self.weights).all()):
@@ -113,15 +113,8 @@ class TableDensity(DensitySpec):
         return np.interp(x, self.xs, self.weights)
 
 
-def build_density_spec(kind: str, alpha: float, beta: float, **params) -> DensitySpec:
-    """Construct a density variant by name ('sin_plus_two', 'uniform', 'table')."""
-    if kind == "sin_plus_two":
-        return SinPlusTwo(alpha=alpha, beta=beta, **params)
-    if kind == "uniform":
-        return Uniform(alpha=alpha, beta=beta, **params)
-    if kind == "table":
-        return TableDensity(alpha=alpha, beta=beta, **params)
-    raise ValueError(f"unknown density kind {kind!r}")
+# config kind name -> density variant
+DENSITY_KINDS = {"sin_plus_two": SinPlusTwo, "uniform": Uniform, "table": TableDensity}
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,16 +4,17 @@ Every transformation in scope is represented by a small frozen dataclass:
 closed-form maps (iterated logistic, driven oscillator), time-t projections
 of second-order initial value problems (integrated with classical
 fixed-step RK4), and explicit lookup tables for maps produced by any
-external solver.  ``eval_map`` dispatches over the variants and accepts
-scalars or numpy arrays; ``sample_map`` evaluates a definition on a
-uniform grid.
+external solver.  Each variant evaluates itself on arrays; ``eval_map``
+checks the domain and accepts scalars or numpy arrays; ``sample_map``
+evaluates a definition on a uniform grid.  ``MAP_KINDS`` names the
+variants for the config file.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,10 +60,17 @@ class SampledMap:
 
 @dataclass(frozen=True)
 class MapDefinition:
-    """Base for all map variants; holds the domain [alpha, beta]."""
+    """Base for all map variants; holds the domain [alpha, beta].
+
+    Each variant evaluates itself on a float array inside the domain in
+    ``_eval``; a closed-form variant also defines ``derivative(x)``,
+    dg/dx, which the analytic Jacobian uses.
+    """
 
     alpha: float
     beta: float
+
+    derivative = None
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -73,8 +81,8 @@ class MapDefinition:
 class Logistic(MapDefinition):
     """k-fold composition of the quadratic growth map rate*x*(1-x)."""
 
-    rate: float = 3.9
-    iterations: int = 1
+    rate: float
+    iterations: int
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,6 +90,19 @@ class Logistic(MapDefinition):
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.rate <= 4.0:
             raise ValueError("rate must lie in (0, 4]")
+        if self.alpha < 0.0 or self.beta > 1.0:
+            raise ValueError("the logistic domain must lie in [0, 1]")
+
+    def _eval(self, x):
+        return logistic_iterate(self.rate, self.iterations, x)
+
+    def derivative(self, x):
+        y = np.asarray(x, dtype=float)
+        d = np.ones_like(y)
+        for _ in range(self.iterations):
+            d = d * self.rate * (1.0 - 2.0 * y)
+            y = self.rate * y * (1.0 - y)
+        return d
 
 
 @dataclass(frozen=True)
@@ -93,44 +114,56 @@ class Oscillator(MapDefinition):
     omega*(beta - alpha) exceeds a period.
     """
 
-    gain: float = 1.0
-    amplitude: float = 1.0
-    omega: float = 1.0
-    time: float = 0.0
+    gain: float
+    amplitude: float
+    omega: float
+    time: float
+
+    def _eval(self, x):
+        return oscillator_map(self.gain, self.amplitude, self.omega, self.time, x)
+
+    def derivative(self, x):
+        phase = self.omega * (self.time + np.asarray(x, dtype=float))
+        return self.gain - self.amplitude * self.omega * np.sin(phase)
 
 
 @dataclass(frozen=True)
-class Duffing(MapDefinition):
+class SecondOrder(MapDefinition):
+    """Position after t_final of y'' = accel(y) with y(0)=0, y'(0)=x."""
+
+    t_final: float
+    step: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.step <= 0 or self.t_final <= 0:
+            raise ValueError("step and t_final must be positive")
+
+    def _eval(self, x):
+        y, _ = integrate_ivp(self, np.zeros_like(x), x, self.t_final, self.step)
+        return y
+
+
+class Duffing(SecondOrder):
     """Position after t_final of y'' = -4 y^3 with y(0)=0, y'(0)=x."""
 
-    t_final: float = 5.0
-    step: float = 5.0 / 300.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.step <= 0 or self.t_final <= 0:
-            raise ValueError("step and t_final must be positive")
+    def accel(self, y):
+        return -4.0 * y * y * y
 
 
-@dataclass(frozen=True)
-class Pendulum(MapDefinition):
+class Pendulum(SecondOrder):
     """Position after t_final of y'' = -sin(y) with y(0)=0, y'(0)=x."""
 
-    t_final: float = 18.0
-    step: float = 18.0 / 200.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.step <= 0 or self.t_final <= 0:
-            raise ValueError("step and t_final must be positive")
+    def accel(self, y):
+        return -np.sin(y)
 
 
 @dataclass(frozen=True, eq=False)
 class TableMap(MapDefinition):
     """Map given by explicit samples, evaluated by linear interpolation."""
 
-    xs: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    ys: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
@@ -145,6 +178,9 @@ class TableMap(MapDefinition):
         self.xs.setflags(write=False)
         self.ys.setflags(write=False)
 
+    def _eval(self, x):
+        return np.interp(x, self.xs, self.ys)
+
     @classmethod
     def from_samples(cls, xs, ys) -> "TableMap":
         xs = np.asarray(xs, dtype=float)
@@ -152,18 +188,19 @@ class TableMap(MapDefinition):
         return cls(alpha=float(xs[0]), beta=float(xs[-1]), xs=xs, ys=ys)
 
 
+# config kind name -> map variant
+MAP_KINDS = {"logistic": Logistic, "oscillator": Oscillator, "duffing": Duffing,
+             "pendulum": Pendulum, "table": TableMap}
+
+
 def table_from_csv(path) -> TableMap:
     """Load a TableMap from a two-column ``x,y`` CSV with a header row."""
-    xs, ys = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-    return TableMap.from_samples(xs, ys)
+        rows = [row for row in list(csv.reader(fh))[1:] if row]
+    if not rows or min(map(len, rows)) < 2:
+        raise ValueError(f"table file {path!r} needs data rows of two fields")
+    return TableMap.from_samples([float(row[0]) for row in rows],
+                                 [float(row[1]) for row in rows])
 
 
 def logistic_iterate(rate: float, iterations: int, x):
@@ -188,14 +225,6 @@ def oscillator_map(gain: float, amplitude: float, omega: float, time: float, x):
     return float(y) if np.isscalar(x) else y
 
 
-def _acceleration(system):
-    if isinstance(system, Duffing):
-        return lambda y: -4.0 * y * y * y
-    if isinstance(system, Pendulum):
-        return lambda y: -np.sin(y)
-    raise TypeError(f"no integrator for {type(system).__name__}")
-
-
 def step_count(t_final: float, step: float) -> int:
     """Number of equal RK4 steps: ceil(t_final/step) with slack so that
     an exact division is not inflated by float noise."""
@@ -203,7 +232,7 @@ def step_count(t_final: float, step: float) -> int:
 
 
 def integrate_ivp(system, y0, v0, t_final: float, step: float):
-    """Integrate y'=v, v'=a(y) to t_final with classical fixed-step RK4.
+    """Integrate y'=v, v'=system.accel(y) to t_final with classical fixed-step RK4.
 
     If t_final/step is not an integer the step is shrunk so that
     ceil(t_final/step) equal steps land exactly on t_final.  Works
@@ -213,7 +242,7 @@ def integrate_ivp(system, y0, v0, t_final: float, step: float):
     """
     if step <= 0 or t_final <= 0:
         raise ValueError("step and t_final must be positive")
-    accel = _acceleration(system)
+    accel = system.accel
     scalar = np.isscalar(y0) and np.isscalar(v0)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
@@ -244,47 +273,8 @@ def eval_map(map_def: MapDefinition, x):
         raise ValueError(
             f"x outside domain [{map_def.alpha}, {map_def.beta}]"
         )
-    if isinstance(map_def, Logistic):
-        return logistic_iterate(map_def.rate, map_def.iterations, x)
-    if isinstance(map_def, Oscillator):
-        return oscillator_map(
-            map_def.gain, map_def.amplitude, map_def.omega, map_def.time, x
-        )
-    if isinstance(map_def, (Duffing, Pendulum)):
-        y, _ = integrate_ivp(
-            map_def, np.zeros_like(xa), xa, map_def.t_final, map_def.step
-        )
-        return float(np.asarray(y).reshape(-1)[0]) if np.isscalar(x) else y
-    if isinstance(map_def, TableMap):
-        y = np.interp(xa, map_def.xs, map_def.ys)
-        return float(y) if np.isscalar(x) else y
-    raise TypeError(f"unknown map variant {type(map_def).__name__}")
-
-
-def analytic_derivative(map_def: MapDefinition):
-    """Return dg/dx as a callable for closed-form variants, else None."""
-    if isinstance(map_def, Logistic):
-
-        def deriv(x):
-            xa = np.asarray(x, dtype=float)
-            y = xa
-            d = np.ones_like(xa)
-            for _ in range(map_def.iterations):
-                d = d * map_def.rate * (1.0 - 2.0 * y)
-                y = map_def.rate * y * (1.0 - y)
-            return d
-
-        return deriv
-    if isinstance(map_def, Oscillator):
-
-        def deriv(x):
-            xa = np.asarray(x, dtype=float)
-            return map_def.gain - map_def.amplitude * map_def.omega * np.sin(
-                map_def.omega * (map_def.time + xa)
-            )
-
-        return deriv
-    return None
+    y = map_def._eval(xa)
+    return float(np.asarray(y).reshape(-1)[0]) if np.isscalar(x) else y
 
 
 def sample_map(map_def: MapDefinition, grid: GridSpec) -> SampledMap:

@@ -26,6 +26,8 @@ class McConfig:
     def __post_init__(self):
         if not self.n_samples >= self.n_bins >= 2:
             raise ValueError("need n_samples >= n_bins >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,6 +140,160 @@ class TestConfigValidation:
             assert not (out / "mu_y.csv").exists()
 
 
+def reference_config(name, replace=()):
+    """Text of a checked-in config with (old, new) substring edits."""
+    body = (CONFIG_DIR / f"{name}.cfg").read_text()
+    for old, new in replace:
+        assert old in body
+        body = body.replace(old, new, 1)
+    return body
+
+
+MAP_SECTIONS = {
+    "logistic": "kind = logistic\nalpha = 0\nbeta = 1\nrate = 3.9\niterations = 3\n",
+    "oscillator": ("kind = oscillator\nalpha = 2\nbeta = 4\ngain = 1\n"
+                   "amplitude = 2\nomega = 6\ntime = 1\n"),
+    "duffing": "kind = duffing\nalpha = 0\nbeta = 5\nt_final = 5\nstep = 5/300\n",
+    "pendulum": "kind = pendulum\nalpha = 0\nbeta = 1.99\nt_final = 18\nstep = 18/200\n",
+    "table": "kind = table\npath = identity.csv\n",
+}
+
+DENSITY_SECTIONS = {
+    "sin_plus_two": "kind = sin_plus_two\nomega = 5\n",
+    "uniform": "kind = uniform\n",
+    "table": "kind = table\npath = weights.csv\n",
+}
+
+
+def variant_config(tmp_path, map_section, density_section):
+    """A config with the given [map] and [density] bodies, next to
+    identity map and flat weight tables on [0, 1]."""
+    (tmp_path / "identity.csv").write_text(IDENTITY_CSV)
+    (tmp_path / "weights.csv").write_text(IDENTITY_CSV.replace("x,y", "x,w"))
+    body = (f"[map]\n{map_section}\n[density]\n{density_section}\n"
+            "[grid]\nn_div = 40\n")
+    return write_config(tmp_path / "variant.cfg", body)
+
+
+def assert_config_error(tmp_path, capsys, cfg, *extra):
+    out = tmp_path / "o"
+    assert run("partition", "--config", cfg, "--out", out, *extra) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "partition.json").exists()
+    return err
+
+
+class TestConfigDefects:
+    """Every defect in a config or its files exits 2 without a traceback."""
+
+    @pytest.mark.parametrize("kind,key", [
+        ("logistic", "gain = 1"), ("oscillator", "rate = 3.9"),
+        ("duffing", "iterations = 2"), ("pendulum", "omega = 1"),
+        ("table", "alpha = 0"),
+    ])
+    def test_foreign_map_key(self, tmp_path, capsys, kind, key):
+        cfg = variant_config(tmp_path, MAP_SECTIONS[kind] + key + "\n",
+                             DENSITY_SECTIONS["uniform"])
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert f"unknown keys in [map]: ['{key.split()[0]}']" in err
+
+    @pytest.mark.parametrize("kind,key", [
+        ("sin_plus_two", "path = weights.csv"), ("uniform", "omega = 7"),
+        ("table", "omega = 5"), ("uniform", "alpha = 0"),
+    ])
+    def test_foreign_density_key(self, tmp_path, capsys, kind, key):
+        cfg = variant_config(tmp_path, MAP_SECTIONS["logistic"],
+                             DENSITY_SECTIONS[kind] + key + "\n")
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert f"unknown keys in [density]: ['{key.split()[0]}']" in err
+
+    @pytest.mark.parametrize("map_kind,density_kind", [
+        *((kind, "uniform") for kind in sorted(MAP_SECTIONS)),
+        *(("logistic", kind) for kind in sorted(DENSITY_SECTIONS)),
+    ])
+    def test_own_keys_accepted(self, tmp_path, map_kind, density_kind):
+        cfg = variant_config(tmp_path, MAP_SECTIONS[map_kind],
+                             DENSITY_SECTIONS[density_kind])
+        assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, line.split(" = ")[0])
+        for kind, body in sorted(MAP_SECTIONS.items())
+        for line in body.splitlines() if not line.startswith("kind")
+    ])
+    def test_missing_map_key(self, tmp_path, capsys, kind, key):
+        body = "".join(line + "\n" for line in MAP_SECTIONS[kind].splitlines()
+                       if not line.startswith(key + " "))
+        cfg = variant_config(tmp_path, body, DENSITY_SECTIONS["uniform"])
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert f"bad [map] section: '{key}'" in err
+
+    @pytest.mark.parametrize("section,kind", [("map", "logistic"),
+                                              ("density", "sin_plus_two")])
+    def test_unknown_kind(self, tmp_path, capsys, section, kind):
+        cfg = write_config(tmp_path / "bad.cfg", reference_config(
+            "logistic3", [(f"kind = {kind}", "kind = gaussian")]))
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert f"unknown {section} kind 'gaussian'" in err
+
+    @pytest.mark.parametrize("body", [
+        reference_config("logistic3", [("kind = logistic", "kind = logistic\nkind = table")]),
+        "kind = logistic\n" + reference_config("logistic3"),
+        reference_config("logistic3", [("[grid]", "[grid]\nn_div 400")]),
+        reference_config("logistic3") + "\n[output]\n",
+    ], ids=["duplicate-key", "key-before-section", "line-without-equals",
+            "output-section"])
+    def test_malformed_config(self, tmp_path, capsys, body):
+        assert_config_error(tmp_path, capsys, write_config(tmp_path / "bad.cfg", body))
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe" + reference_config("logistic3").encode())
+        assert_config_error(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("table", ["", "x,y\n", "x,y\n0,0\n0.5\n1,1\n"],
+                             ids=["empty", "header-only", "short-row"])
+    @pytest.mark.parametrize("section", ["map", "density"])
+    def test_short_table_file(self, tmp_path, capsys, table, section):
+        cfg = variant_config(tmp_path, MAP_SECTIONS["table"], DENSITY_SECTIONS["table"])
+        (tmp_path / ("identity.csv" if section == "map" else "weights.csv")).write_text(table)
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert f"bad [{section}] section" in err
+
+    @pytest.mark.parametrize("edit", [("alpha = 0", "alpha = -0.5"),
+                                      ("beta = 1", "beta = 1.5")])
+    def test_logistic_domain_outside_unit_interval(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path / "bad.cfg", reference_config("logistic3", [edit]))
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert "must lie in [0, 1]" in err
+
+    def test_negative_config_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.cfg", reference_config(
+            "logistic3", [("seed = 12345", "seed = -1")]))
+        assert "seed must be >= 0" in assert_config_error(tmp_path, capsys, cfg)
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        err = assert_config_error(tmp_path, capsys, CONFIG_DIR / "logistic3.cfg",
+                                  "--seed", -3)
+        assert "seed must be >= 0" in err
+
+
+class TestDensityDefaults:
+    def test_omitted_omega_is_five(self, tmp_path):
+        cfg = write_config(tmp_path / "default.cfg", reference_config(
+            "logistic3", [("kind = sin_plus_two\nomega = 5\n", "kind = sin_plus_two\n")]))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("density", "--config", CONFIG_DIR / "logistic3.cfg", "--out", a) == 0
+        assert run("density", "--config", cfg, "--out", b) == 0
+        for name in ("eta.csv", "mu_y.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        meta_a = json.loads((a / "meta.json").read_text())
+        meta_b = json.loads((b / "meta.json").read_text())
+        assert meta_a.pop("map_fingerprint") != meta_b.pop("map_fingerprint")
+        assert meta_a == meta_b
+
+
 class TestCsvWriter:
     """_write_csv writes each float as format(float(v), ".17g") and each
     integer as str(v), the format the artifacts have always used."""

@@ -11,15 +11,17 @@ from conftest import (
 
 from pushfold import density
 from pushfold import (
+    DENSITY_KINDS,
+    MAP_KINDS,
     DegenerateInputError,
+    DensitySpec,
     GridSpec,
     Logistic,
+    MapDefinition,
     SinPlusTwo,
     TableConstructionError,
     TableDensity,
     Uniform,
-    analytic_derivative,
-    build_density_spec,
     build_layer_table,
     build_unfolded,
     curve_mass,
@@ -82,11 +84,15 @@ class TestDensitySpec:
             TableDensity(alpha=0.0, beta=1.0,
                          xs=np.array([0.0, 1.0]), weights=np.array([0.0, 0.0]))
 
-    def test_factory(self):
-        spec = build_density_spec("sin_plus_two", 0.0, 1.0, omega=5.0)
-        assert isinstance(spec, SinPlusTwo)
-        with pytest.raises(ValueError):
-            build_density_spec("gaussian", 0.0, 1.0)
+    def test_kind_tables_name_every_class(self):
+        def leaves(cls):
+            subs = cls.__subclasses__()
+            return set().union(*map(leaves, subs)) if subs else {cls}
+
+        assert set(DENSITY_KINDS.values()) == leaves(DensitySpec)
+        assert set(MAP_KINDS.values()) == leaves(MapDefinition)
+        assert len(set(DENSITY_KINDS.values())) == len(DENSITY_KINDS)
+        assert len(set(MAP_KINDS.values())) == len(MAP_KINDS)
 
 
 class TestFdfDensity:
@@ -162,7 +168,7 @@ class TestFdfDensity:
         from conftest import experiment_defs
         map_def = experiment_defs()["oscillator"][0]
         curve = pushforward_density(run.sm, run.part, run.table, run.um, spec,
-                            gprime=analytic_derivative(map_def))
+                            gprime=map_def.derivative)
         assert curve.mass == pytest.approx(run.curve.mass, abs=0.02)
         smooth = np.abs(curve.ys - 2.5) < 0.2
         np.testing.assert_allclose(curve.mu_ys[smooth], run.curve.mu_ys[smooth],
@@ -218,14 +224,14 @@ class TestBlockedPushforward:
         sm = sample_map(map_def, grid)
         gprime = None
         if jacobian == "analytic":
-            gprime = analytic_derivative(map_def) or sampled_gradient(sm)
+            gprime = map_def.derivative or sampled_gradient(sm)
         assert_matches_reference(sm, spec, gprime)
 
     @pytest.mark.parametrize("jacobian", ["interpolant", "analytic"])
     @pytest.mark.parametrize("iterations", [5, 6, 7, 8, 9])
     def test_logistic_iterations(self, iterations, jacobian):
         m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
-        gprime = analytic_derivative(m) if jacobian == "analytic" else None
+        gprime = m.derivative if jacobian == "analytic" else None
         assert_matches_reference(sample_map(m, GridSpec(20000)),
                                  SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0),
                                  gprime)

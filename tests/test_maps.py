@@ -11,7 +11,6 @@ from pushfold import (
     Oscillator,
     Pendulum,
     TableMap,
-    analytic_derivative,
     eval_map,
     integrate_ivp,
     logistic_iterate,
@@ -71,23 +70,23 @@ class TestOscillatorMap:
 
 class TestIntegrateIvp:
     def test_pendulum_equilibrium(self):
-        sys = Pendulum(alpha=0.0, beta=2.0)
+        sys = Pendulum(alpha=0.0, beta=2.0, t_final=18.0, step=0.09)
         y, v = integrate_ivp(sys, 0.0, 0.0, 18.0, 0.09)
         assert y == 0.0 and v == 0.0
 
     def test_duffing_origin_equilibrium(self):
-        sys = Duffing(alpha=0.0, beta=5.0)
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
         y, v = integrate_ivp(sys, 0.0, 0.0, 5.0, 5.0 / 300.0)
         assert y == 0.0 and v == 0.0
 
     def test_duffing_energy_conservation(self):
-        sys = Duffing(alpha=0.0, beta=5.0)
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
         y, v = integrate_ivp(sys, 0.0, 1.0, 5.0, 5.0 / 300.0)
         assert abs(0.5 * v * v + y ** 4 - 0.5) < 1e-4
 
     def test_energy_drift_across_speeds(self):
         # relative drift of 0.5 v^2 + y^4 stays below 1e-3 on [1, 5]
-        sys = Duffing(alpha=0.0, beta=5.0)
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
         phis = np.linspace(1.0, 5.0, 41)
         y, v = integrate_ivp(sys, np.zeros_like(phis), phis, 5.0, 5.0 / 300.0)
         e0 = 0.5 * phis ** 2
@@ -96,7 +95,7 @@ class TestIntegrateIvp:
 
     def test_non_integer_step_count_lands_on_t_final(self):
         # 1.0 / 0.3 -> 4 steps of 0.25; check against a direct 4-step run
-        sys = Pendulum(alpha=0.0, beta=2.0)
+        sys = Pendulum(alpha=0.0, beta=2.0, t_final=18.0, step=0.09)
         a = integrate_ivp(sys, 0.0, 1.0, 1.0, 0.3)
         b = integrate_ivp(sys, 0.0, 1.0, 1.0, 0.25)
         assert a == b
@@ -111,18 +110,18 @@ class TestIntegrateIvp:
         assert step_count(0.05, 1.0) == 1
 
     def test_deterministic(self):
-        sys = Pendulum(alpha=0.0, beta=2.0)
+        sys = Pendulum(alpha=0.0, beta=2.0, t_final=18.0, step=0.09)
         runs = {integrate_ivp(sys, 0.0, 1.7, 18.0, 0.09) for _ in range(3)}
         assert len(runs) == 1
 
     def test_divergence_reports_time(self):
-        sys = Duffing(alpha=0.0, beta=5.0)
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
         with pytest.raises(DivergenceError) as exc:
             integrate_ivp(sys, 0.0, 1e200, 10.0, 0.5)
         assert 0.0 < exc.value.t <= 10.0
 
     def test_array_matches_scalar(self):
-        sys = Duffing(alpha=0.0, beta=5.0)
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
         ys, vs = integrate_ivp(sys, np.zeros(3), np.array([1.0, 2.0, 3.0]),
                                5.0, 5.0 / 300.0)
         y1, v1 = integrate_ivp(sys, 0.0, 2.0, 5.0, 5.0 / 300.0)
@@ -196,7 +195,7 @@ class TestSampleMap:
 class TestAnalyticDerivative:
     def test_logistic_chain_rule(self):
         m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3)
-        d = analytic_derivative(m)
+        d = m.derivative
         x = 0.31
         h = 1e-7
         fd = (logistic_iterate(3.9, 3, x + h) - logistic_iterate(3.9, 3, x - h)) / (2 * h)
@@ -205,15 +204,16 @@ class TestAnalyticDerivative:
     def test_oscillator(self):
         m = Oscillator(alpha=2.0, beta=4.0, gain=1.0, amplitude=2.0,
                        omega=6.0, time=1.0)
-        d = analytic_derivative(m)
+        d = m.derivative
         x = 2.7
         h = 1e-7
         fd = (eval_map(m, x + h) - eval_map(m, x - h)) / (2 * h)
         assert d(x) == pytest.approx(fd, rel=1e-5)
 
     def test_none_for_sampled_variants(self):
-        assert analytic_derivative(Duffing(alpha=0.0, beta=5.0)) is None
-        assert analytic_derivative(TableMap.from_samples([0, 1], [0, 1])) is None
+        duffing = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
+        assert duffing.derivative is None
+        assert TableMap.from_samples([0, 1], [0, 1]).derivative is None
 
 
 class TestTableMap:
