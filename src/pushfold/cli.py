@@ -167,10 +167,13 @@ class Experiment:
                     n_bins=int(m.get("n_bins", "200")),
                     seed=int(m.get("seed", "0")),
                 )
-                if seed_override is not None:
-                    self.mc = dataclasses.replace(self.mc, seed=seed_override)
             except ValueError as exc:
                 raise ConfigError(f"bad [mc] section: {exc}") from exc
+            if seed_override is not None:
+                try:
+                    self.mc = dataclasses.replace(self.mc, seed=seed_override)
+                except ValueError as exc:
+                    raise ConfigError(f"bad --seed: {exc}") from exc
         self.fingerprint = hashlib.sha256(
             json.dumps({s: dict(sorted(v.items())) for s, v in sections.items()},
                        sort_keys=True).encode()

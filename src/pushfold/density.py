@@ -20,6 +20,7 @@ by the block size whatever the grid or branch count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +59,12 @@ class DensitySpec:
     def __post_init__(self):
         if not self.alpha < self.beta:
             raise ValueError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
-        z = simpson_integral(self._raw, self.alpha, self.beta)
-        if z <= 0.0:
-            raise DegenerateInputError("density normalization constant is not positive")
+        # an overflowing shape gives inf or nan here, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = simpson_integral(self._raw, self.alpha, self.beta)
+        if not (math.isfinite(z) and z > 0.0):
+            raise DegenerateInputError(
+                f"density normalization constant {z!r} is not finite and positive")
         object.__setattr__(self, "normalization", z)
 
     def _raw(self, x):

@@ -278,9 +278,19 @@ def eval_map(map_def: MapDefinition, x):
 
 
 def sample_map(map_def: MapDefinition, grid: GridSpec) -> SampledMap:
-    """Evaluate a map on the uniform grid and record its sampled range."""
+    """Evaluate a map on the uniform grid and record its sampled range.
+
+    Raises FloatingPointError naming the first grid point whose map
+    value is not finite.
+    """
     xs = np.linspace(map_def.alpha, map_def.beta, grid.n_div + 1)
-    ys = np.asarray(eval_map(map_def, xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = np.asarray(eval_map(map_def, xs), dtype=float)
+    finite = np.isfinite(ys)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise FloatingPointError(
+            f"g(x) = {float(ys[i])!r} is not finite at x = {float(xs[i])!r}")
     return SampledMap(
         xs=xs,
         ys=ys,

@@ -276,7 +276,7 @@ class TestConfigDefects:
     def test_negative_seed_override(self, tmp_path, capsys):
         err = assert_config_error(tmp_path, capsys, CONFIG_DIR / "logistic3.cfg",
                                   "--seed", -3)
-        assert "seed must be >= 0" in err
+        assert "bad --seed: seed must be >= 0" in err and "[mc]" not in err
 
 
 class TestDensityDefaults:
@@ -338,8 +338,27 @@ n_div = 20
 """)
         assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 3
 
+    def test_non_finite_normalization_exits_3(self, tmp_path, capsys, recwarn):
+        # sin(omega*x) overflows to nan on [0, 5]
+        cfg = write_config(tmp_path / "huge.cfg", reference_config(
+            "duffing", [("omega = 5", "omega = 1e308")]))
+        assert run("density", "--config", cfg, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "normalization constant nan is not finite and positive" in err
+        assert not (tmp_path / "o" / "meta.json").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["partition", "mc"])
+    def test_non_finite_map_sample_exits_4(self, tmp_path, capsys, recwarn, command):
+        cfg = write_config(tmp_path / "huge.cfg", reference_config(
+            "oscillator", [("gain = 1", "gain = 1e308")]))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: g(x) = inf is not finite at x = 2.0" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_divergent_integration_exits_4(self, tmp_path, capsys):
         # an absurd initial-velocity range blows up the cubic restoring
         # force within a few oversized steps

@@ -187,6 +187,13 @@ class TestSampleMap:
         b = sample_map(m, GridSpec(200))
         assert np.array_equal(a.ys, b.ys)
 
+    def test_names_the_first_non_finite_value(self, recwarn):
+        # gain*x overflows from x = 3.6 on
+        m = Oscillator(alpha=2.0, beta=4.0, gain=5e307, amplitude=2.0, omega=6.0, time=1.0)
+        with pytest.raises(FloatingPointError, match=r"g\(x\) = inf is not finite at x = 3\.6$"):
+            sample_map(m, GridSpec(200))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_grid_spec_minimum(self):
         with pytest.raises(ValueError):
             GridSpec(3)

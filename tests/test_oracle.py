@@ -1,18 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import CONFIG_DIR
+
+import pushfold.oracle as oracle
 from pushfold import (
     DensityCurve,
+    DivergenceError,
     GridSpec,
     Histogram,
     InverseCdfSampler,
     McConfig,
+    Oscillator,
     SinPlusTwo,
     TableMap,
     Uniform,
     compare,
+    eval_map,
     mc_density,
+    sample_map,
     simpson_integral,
 )
+from pushfold.cli import Experiment, main
 
 
 def ks_statistic(samples, cdf):
@@ -46,6 +56,13 @@ class TestInverseCdfSampler:
         a = InverseCdfSampler(spec, seed=7).draw(1000)
         b = InverseCdfSampler(spec, seed=7).draw(1000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1000, 4097), (32768, 1), (12345, 54321)])
+    def test_split_draws_continue_the_stream(self, a, b):
+        spec = SinPlusTwo(alpha=0.0, beta=5.0, omega=5.0)
+        split = InverseCdfSampler(spec, seed=11)
+        whole = InverseCdfSampler(spec, seed=11).draw(a + b)
+        assert np.array_equal(np.concatenate([split.draw(a), split.draw(b)]), whole)
 
     def test_ks_all_variants(self):
         from pushfold import TableDensity
@@ -118,6 +135,74 @@ class TestMcDensity:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(n_samples=10, n_bins=20, seed=0)
+
+
+# the oscillator config's folding map: interior extrema put samples
+# marginally outside the 400-point scan range, so clamping is exercised
+STREAM_MAP = Oscillator(alpha=2.0, beta=4.0, gain=1.0, amplitude=2.0, omega=6.0, time=1.0)
+STREAM_SPEC = SinPlusTwo(alpha=2.0, beta=4.0, omega=5.0)
+
+
+def one_shot_histogram(map_def, spec, cfg):
+    """The unstreamed oracle: every draw at once, one eval_map, one histogram."""
+    scan = sample_map(map_def, GridSpec(400))
+    g_min, g_max = scan.g_min, scan.g_max
+    edges = np.linspace(g_min, g_max, cfg.n_bins + 1)
+    y = eval_map(map_def, InverseCdfSampler(spec, cfg.seed).draw(cfg.n_samples))
+    counts, _ = np.histogram(np.clip(y, g_min, g_max), bins=edges)
+    clamped = int((y < g_min).sum() + (y > g_max).sum())
+    heights = counts / (cfg.n_samples * ((g_max - g_min) / cfg.n_bins))
+    return edges, heights, clamped / cfg.n_samples
+
+
+class TestStreamedMcDensity:
+    @pytest.mark.parametrize("n_samples", [999, 100_003])
+    @pytest.mark.parametrize("chunk", [1000, 4097, 32768])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_matches_the_one_shot_reference(self, monkeypatch, n_samples, chunk, threads):
+        cfg = McConfig(n_samples=n_samples, n_bins=60, seed=21)
+        edges, heights, clamped_fraction = one_shot_histogram(STREAM_MAP, STREAM_SPEC, cfg)
+        assert clamped_fraction > 0.0
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        hist = mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=threads)
+        assert np.array_equal(hist.edges, edges)
+        assert np.array_equal(hist.heights, heights)
+        assert hist.clamped_fraction == clamped_fraction
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        def traced_peak(n_samples):
+            # least of three runs: a one-off allocation elsewhere in the
+            # process can raise one run's peak, growth raises all three
+            cfg = McConfig(n_samples=n_samples, n_bins=50, seed=3)
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=2)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return min(peaks)
+
+        small, large = traced_peak(2 ** 18), traced_peak(2 ** 20)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_divergence_in_a_worker_chunk_exits_4(self, tmp_path, capsys, monkeypatch):
+        # every chunk diverges at t = its first sample; the error must
+        # come from the first chunk of the stream
+        def diverge(map_def, x):
+            raise DivergenceError(float(x[0]))
+
+        cfg = CONFIG_DIR / "oscillator.cfg"
+        exp = Experiment(str(cfg))
+        first = InverseCdfSampler(exp.density, exp.mc.seed).draw(1)[0]
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        monkeypatch.setattr(oracle, "eval_map", diverge)
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "3"]) == 4
+        err = capsys.readouterr().err
+        assert f"numerical failure: state became non-finite at t={first:g}" in err
+        assert not (tmp_path / "o" / "hist.csv").exists()
 
 
 class TestCompare:
