@@ -42,8 +42,6 @@ from .maps import (
     TableMap,
     eval_map,
     integrate_ivp,
-    logistic_iterate,
-    oscillator_map,
     sample_map,
     table_from_csv,
 )

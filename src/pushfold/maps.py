@@ -8,6 +8,11 @@ external solver.  Each variant evaluates itself on arrays; ``eval_map``
 checks the domain and accepts scalars or numpy arrays; ``sample_map``
 evaluates a definition on a uniform grid.  ``MAP_KINDS`` names the
 variants for the config file.
+
+A second-order variant defines ``accel(y, out)``: it writes y'' at
+``y`` into the preallocated array ``out`` and returns it, leaving ``y``
+unchanged.  ``integrate_ivp`` allocates its stage buffers once per call
+and runs every RK4 step in place on them.
 """
 
 from __future__ import annotations
@@ -94,7 +99,13 @@ class Logistic(MapDefinition):
             raise ValueError("the logistic domain must lie in [0, 1]")
 
     def _eval(self, x):
-        return logistic_iterate(self.rate, self.iterations, x)
+        # rate*y*(1-y) as (rate*y)*(1-y), in place on two buffers
+        y, t = x.copy(), np.empty_like(x)
+        for _ in range(self.iterations):
+            np.subtract(1.0, y, out=t)
+            np.multiply(y, self.rate, out=y)
+            np.multiply(y, t, out=y)
+        return y
 
     def derivative(self, x):
         y = np.asarray(x, dtype=float)
@@ -120,7 +131,7 @@ class Oscillator(MapDefinition):
     time: float
 
     def _eval(self, x):
-        return oscillator_map(self.gain, self.amplitude, self.omega, self.time, x)
+        return self.gain * x + self.amplitude * np.cos(self.omega * (self.time + x))
 
     def derivative(self, x):
         phase = self.omega * (self.time + np.asarray(x, dtype=float))
@@ -129,7 +140,10 @@ class Oscillator(MapDefinition):
 
 @dataclass(frozen=True)
 class SecondOrder(MapDefinition):
-    """Position after t_final of y'' = accel(y) with y(0)=0, y'(0)=x."""
+    """Position after t_final of y'' = accel(y) with y(0)=0, y'(0)=x.
+
+    Subclasses define ``accel(y, out)``, which fills ``out`` and returns it.
+    """
 
     t_final: float
     step: float
@@ -147,15 +161,18 @@ class SecondOrder(MapDefinition):
 class Duffing(SecondOrder):
     """Position after t_final of y'' = -4 y^3 with y(0)=0, y'(0)=x."""
 
-    def accel(self, y):
-        return -4.0 * y * y * y
+    def accel(self, y, out):
+        # ((-4 * y) * y) * y, in that order
+        np.multiply(y, -4.0, out=out)
+        np.multiply(out, y, out=out)
+        return np.multiply(out, y, out=out)
 
 
 class Pendulum(SecondOrder):
     """Position after t_final of y'' = -sin(y) with y(0)=0, y'(0)=x."""
 
-    def accel(self, y):
-        return -np.sin(y)
+    def accel(self, y, out):
+        return np.negative(np.sin(y, out=out), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,28 +220,6 @@ def table_from_csv(path) -> TableMap:
                                  [float(row[1]) for row in rows])
 
 
-def logistic_iterate(rate: float, iterations: int, x):
-    """Apply the quadratic growth map ``rate*x*(1-x)`` ``iterations`` times."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not 0.0 < rate <= 4.0:
-        raise ValueError("rate must lie in (0, 4]")
-    xa = np.asarray(x, dtype=float)
-    if (xa < 0.0).any() or (xa > 1.0).any():
-        raise ValueError("state must lie in [0, 1]")
-    y = xa
-    for _ in range(iterations):
-        y = rate * y * (1.0 - y)
-    return float(y) if np.isscalar(x) else y
-
-
-def oscillator_map(gain: float, amplitude: float, omega: float, time: float, x):
-    """Evaluate gain*x + amplitude*cos(omega*(time + x))."""
-    xa = np.asarray(x, dtype=float)
-    y = gain * xa + amplitude * np.cos(omega * (time + xa))
-    return float(y) if np.isscalar(x) else y
-
-
 def step_count(t_final: float, step: float) -> int:
     """Number of equal RK4 steps: ceil(t_final/step) with slack so that
     an exact division is not inflated by float noise."""
@@ -239,27 +234,53 @@ def integrate_ivp(system, y0, v0, t_final: float, step: float):
     elementwise on arrays of initial conditions.  Raises
     DivergenceError (with the failing time) if the state leaves the
     representable range.
+
+    The step runs in place on stage buffers allocated once per call;
+    ``system.accel(y, out)`` writes into ``out``.  Every stage keeps the
+    textbook expression and operand order, ``y + (h/2)*k1y`` and
+    ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the result is the
+    same to the bit as evaluating those expressions with temporaries.
     """
     if step <= 0 or t_final <= 0:
         raise ValueError("step and t_final must be positive")
     accel = system.accel
     scalar = np.isscalar(y0) and np.isscalar(v0)
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
+    y, v = (a.copy() for a in np.broadcast_arrays(
+        np.atleast_1d(np.asarray(y0, dtype=float)),
+        np.atleast_1d(np.asarray(v0, dtype=float))))
+    # stage position, stage dy, stage dv, and the weighted sums of dy, dv
+    yt, ky, kv, sy, sv = (np.empty_like(y) for _ in range(5))
+    finite = np.empty(y.shape, dtype=bool)
     n_steps = step_count(t_final, step)
     h = t_final / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            k1y, k1v = v, accel(y)
-            y2 = y + (0.5 * h) * k1y
-            k2y, k2v = v + (0.5 * h) * k1v, accel(y2)
-            y3 = y + (0.5 * h) * k2y
-            k3y, k3v = v + (0.5 * h) * k2v, accel(y3)
-            y4 = y + h * k3y
-            k4y, k4v = v + h * k3v, accel(y4)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (np.isfinite(y).all() and np.isfinite(v).all()):
+            # k1 = (v, accel(y)); sv holds the running dv sum from here
+            accel(y, sv)
+            # k2 = (v + half*k1v, accel(y + half*v))
+            np.add(y, np.multiply(v, half, out=yt), out=yt)
+            np.add(v, np.multiply(sv, half, out=ky), out=ky)
+            accel(yt, kv)
+            np.add(v, np.multiply(ky, 2.0, out=sy), out=sy)
+            # k3 = (v + half*k2v, accel(y + half*k2y))
+            np.add(y, np.multiply(ky, half, out=yt), out=yt)
+            np.add(v, np.multiply(kv, half, out=ky), out=ky)
+            np.add(sv, np.multiply(kv, 2.0, out=kv), out=sv)
+            accel(yt, kv)
+            # k4 = (v + h*k3v, accel(y + h*k3y))
+            np.add(y, np.multiply(ky, h, out=yt), out=yt)
+            np.add(sy, np.multiply(ky, 2.0, out=ky), out=sy)
+            np.add(v, np.multiply(kv, h, out=ky), out=ky)
+            np.add(sv, np.multiply(kv, 2.0, out=kv), out=sv)
+            accel(yt, kv)
+            np.add(sy, ky, out=sy)
+            np.add(sv, kv, out=sv)
+            # the state advances only after every stage has read it
+            np.add(y, np.multiply(sy, sixth, out=sy), out=y)
+            np.add(v, np.multiply(sv, sixth, out=sv), out=v)
+            if not (np.isfinite(y, out=finite).all()
+                    and np.isfinite(v, out=finite).all()):
                 raise DivergenceError((i + 1) * h)
     if scalar:
         return float(y[0]), float(v[0])

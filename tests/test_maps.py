@@ -13,59 +13,78 @@ from pushfold import (
     TableMap,
     eval_map,
     integrate_ivp,
-    logistic_iterate,
-    oscillator_map,
     sample_map,
 )
 from pushfold.maps import step_count
 
 
+def logistic(rate, iterations):
+    return Logistic(alpha=0.0, beta=1.0, rate=rate, iterations=iterations)
+
+
+def oscillator(gain, amplitude, omega, time):
+    return Oscillator(alpha=0.0, beta=4.0, gain=gain, amplitude=amplitude,
+                      omega=omega, time=time)
+
+
 class TestLogisticIterate:
     def test_single_step_at_half(self):
-        assert logistic_iterate(3.9, 1, 0.5) == 0.975
+        assert eval_map(logistic(3.9, 1), 0.5) == 0.975
 
     def test_zero_is_fixed(self):
-        assert logistic_iterate(3.9, 3, 0.0) == 0.0
+        assert eval_map(logistic(3.9, 3), 0.0) == 0.0
 
     def test_rate_two_fixed_point(self):
-        assert logistic_iterate(2.0, 1, 0.5) == 0.5
+        assert eval_map(logistic(2.0, 1), 0.5) == 0.5
 
     def test_matches_explicit_composition(self):
         x = 0.37
         y = 3.9 * x * (1 - x)
         y = 3.9 * y * (1 - y)
         y = 3.9 * y * (1 - y)
-        assert logistic_iterate(3.9, 3, 0.37) == y
+        assert eval_map(logistic(3.9, 3), 0.37) == y
+
+    def test_array_matches_the_formula_and_keeps_the_input(self):
+        xs = np.linspace(0.0, 1.0, 1001)
+        before = xs.copy()
+        y = xs
+        for _ in range(3):
+            y = 3.9 * y * (1.0 - y)
+        assert eval_map(logistic(3.9, 3), xs).tobytes() == y.tobytes()
+        assert np.array_equal(xs, before)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_state_outside_unit_interval(self, bad):
         with pytest.raises(ValueError):
-            logistic_iterate(3.9, 1, bad)
+            eval_map(logistic(3.9, 1), bad)
+        with pytest.raises(ValueError):
+            Logistic(alpha=min(bad, 0.0), beta=max(bad, 1.0), rate=3.9, iterations=1)
 
     def test_bad_rate_and_count(self):
         with pytest.raises(ValueError):
-            logistic_iterate(4.5, 1, 0.5)
+            logistic(4.5, 1)
         with pytest.raises(ValueError):
-            logistic_iterate(3.9, 0, 0.5)
+            logistic(3.9, 0)
 
 
 class TestOscillatorMap:
     def test_phase_folding_value(self):
         # gain*x + amplitude*cos(omega*(time + x)) at the reference point
         expected = 2.0 + 2.0 * math.cos(6.0 * 3.0)
-        assert oscillator_map(1.0, 2.0, 6.0, 1.0, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert eval_map(oscillator(1.0, 2.0, 6.0, 1.0), 2.0) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_amplitude_is_linear(self):
-        assert oscillator_map(1.0, 0.0, 6.0, 1.0, 3.0) == 3.0
+        assert eval_map(oscillator(1.0, 0.0, 6.0, 1.0), 3.0) == 3.0
 
     def test_zero_phase(self):
-        assert oscillator_map(1.0, 2.0, 6.0, 0.0, 0.0) == 2.0
+        assert eval_map(oscillator(1.0, 2.0, 6.0, 0.0), 0.0) == 2.0
 
     def test_vectorized(self):
+        m = oscillator(1.0, 2.0, 6.0, 1.0)
         xs = np.array([2.0, 3.0, 4.0])
-        ys = oscillator_map(1.0, 2.0, 6.0, 1.0, xs)
+        ys = eval_map(m, xs)
         assert ys.shape == xs.shape
-        assert ys[0] == oscillator_map(1.0, 2.0, 6.0, 1.0, 2.0)
+        assert ys[0] == eval_map(m, 2.0)
 
 
 class TestIntegrateIvp:
@@ -128,15 +147,118 @@ class TestIntegrateIvp:
         assert ys[1] == y1 and vs[1] == v1
 
 
+# The allocating RK4 loop and accelerations that integrate_ivp replaced;
+# the in-place loop keeps every operation and operand order, so it must
+# agree with these to the bit.
+REFERENCE_ACCEL = {Duffing: lambda y: -4.0 * y * y * y,
+                   Pendulum: lambda y: -np.sin(y)}
+
+
+def reference_ivp(system, y0, v0, t_final, step):
+    accel = REFERENCE_ACCEL[type(system)]
+    scalar = np.isscalar(y0) and np.isscalar(v0)
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
+    n_steps = step_count(t_final, step)
+    h = t_final / n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            k1y, k1v = v, accel(y)
+            y2 = y + (0.5 * h) * k1y
+            k2y, k2v = v + (0.5 * h) * k1v, accel(y2)
+            y3 = y + (0.5 * h) * k2y
+            k3y, k3v = v + (0.5 * h) * k2v, accel(y3)
+            y4 = y + h * k3y
+            k4y, k4v = v + h * k3v, accel(y4)
+            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (np.isfinite(y).all() and np.isfinite(v).all()):
+                raise DivergenceError((i + 1) * h)
+    if scalar:
+        return float(y[0]), float(v[0])
+    return y, v
+
+
+DUFFING = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
+PENDULUM = Pendulum(alpha=0.0, beta=1.99, t_final=18.0, step=18.0 / 200.0)
+REFERENCE_GRIDS = [(DUFFING, 300), (PENDULUM, 200)]
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def both_ways(system, y0, v0, t_final, step):
+    return (integrate_ivp(system, y0, v0, t_final, step),
+            reference_ivp(system, y0, v0, t_final, step))
+
+
+class TestInPlaceRk4MatchesReference:
+    @pytest.mark.parametrize("system", [DUFFING, PENDULUM], ids=["duffing", "pendulum"])
+    @pytest.mark.parametrize("v0", [0.0, 0.7, 1.99, 4.3])
+    def test_scalar(self, system, v0):
+        assert_same_bits(*both_ways(system, 0.0, v0, system.t_final, system.step))
+
+    @pytest.mark.parametrize("system,n_div", REFERENCE_GRIDS, ids=["duffing", "pendulum"])
+    def test_reference_grid(self, system, n_div):
+        xs = sample_map(system, GridSpec(n_div)).xs
+        assert_same_bits(*both_ways(system, np.zeros_like(xs), xs, system.t_final, system.step))
+
+    @pytest.mark.parametrize("system", [DUFFING, PENDULUM], ids=["duffing", "pendulum"])
+    def test_random_chunk(self, system):
+        xs = np.random.default_rng(7).uniform(system.alpha, system.beta, 32768)
+        assert_same_bits(*both_ways(system, np.zeros_like(xs), xs, system.t_final, system.step))
+
+    @pytest.mark.parametrize("system", [DUFFING, PENDULUM], ids=["duffing", "pendulum"])
+    def test_non_integer_step_count(self, system):
+        xs = np.linspace(0.5, 1.5, 11)
+        assert_same_bits(*both_ways(system, np.zeros_like(xs), xs, 1.0, 0.3))
+        assert_same_bits(*both_ways(system, 0.0, 1.2, 1.0, 0.3))
+
+    # (system, initial speeds, t_final, step): Duffing overflows in its
+    # first step from 1e200 and after three steps from 20; the pendulum's
+    # position passes the float range after 36 steps from 1e307
+    @pytest.mark.parametrize("system,v0,t_final,step", [
+        (DUFFING, 1e200, 10.0, 0.5),
+        (DUFFING, np.array([1.0, 2.0, 20.0, 3.0]), 10.0, 0.5),
+        (PENDULUM, 1e307, 30.0, 0.5),
+        (PENDULUM, np.array([1.0, 1e307, 1.5]), 30.0, 0.5),
+    ], ids=["duffing-scalar", "duffing-one-of-four", "pendulum-scalar",
+            "pendulum-one-of-three"])
+    def test_divergence_time(self, system, v0, t_final, step):
+        y0 = np.zeros_like(v0) if np.ndim(v0) else 0.0
+        with pytest.raises(DivergenceError) as want:
+            reference_ivp(system, y0, v0, t_final, step)
+        with pytest.raises(DivergenceError) as got:
+            integrate_ivp(system, y0, v0, t_final, step)
+        assert got.value.t == want.value.t
+        if np.ndim(v0):
+            assert step < got.value.t < t_final
+
+    @pytest.mark.parametrize("system", [DUFFING, PENDULUM], ids=["duffing", "pendulum"])
+    def test_accel_fills_and_returns_out(self, system):
+        y = np.random.default_rng(3).uniform(-3.0, 3.0, 1000)
+        y_before = y.copy()
+        out = np.full_like(y, np.nan)
+        assert system.accel(y, out) is out
+        assert np.array_equal(y, y_before)
+        assert out.tobytes() == REFERENCE_ACCEL[type(system)](y).tobytes()
+
+
 class TestEvalMap:
     def test_logistic_third_iterate(self):
         m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3)
-        assert eval_map(m, 0.5) == logistic_iterate(3.9, 3, 0.5)
+        y = 0.5
+        for _ in range(3):
+            y = 3.9 * y * (1.0 - y)
+        assert eval_map(m, 0.5) == y
 
     def test_oscillator(self):
         m = Oscillator(alpha=2.0, beta=4.0, gain=1.0, amplitude=2.0,
                        omega=6.0, time=1.0)
-        assert eval_map(m, 2.0) == oscillator_map(1.0, 2.0, 6.0, 1.0, 2.0)
+        assert eval_map(m, 2.0) == 1.0 * 2.0 + 2.0 * np.cos(6.0 * (1.0 + 2.0))
 
     def test_table_linear_interpolation(self):
         m = TableMap.from_samples([0.0, 1.0], [0.0, 1.0])
@@ -205,7 +327,7 @@ class TestAnalyticDerivative:
         d = m.derivative
         x = 0.31
         h = 1e-7
-        fd = (logistic_iterate(3.9, 3, x + h) - logistic_iterate(3.9, 3, x - h)) / (2 * h)
+        fd = (eval_map(m, x + h) - eval_map(m, x - h)) / (2 * h)
         assert d(x) == pytest.approx(fd, rel=1e-5)
 
     def test_oscillator(self):
