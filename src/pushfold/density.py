@@ -203,11 +203,16 @@ def pushforward_density(
         ys=np.concatenate(ys_out),
         mu_ys=np.concatenate(mu_out),
         interval_ids=np.concatenate(id_out),
-        edges=table.values.copy(),
+        edges=table.values,
         delta=float(delta),
         mass=0.0,
     )
-    object.__setattr__(curve, "mass", curve_mass(curve))
+    mass = curve_mass(curve)
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise DegenerateInputError(
+            f"pushforward curve mass {mass!r} is not finite and positive; "
+            "the input density carries no weight at the sampled preimages")
+    object.__setattr__(curve, "mass", mass)
     return curve
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensitySpec
+from .errors import DegenerateInputError
 from .maps import GridSpec, MapDefinition, eval_map, sample_map
 
 CDF_GRID_POINTS = 4096
@@ -67,6 +68,10 @@ class InverseCdfSampler:
         xs = np.linspace(spec.alpha, spec.beta, grid_points)
         pdf = np.asarray(spec.pdf(xs), dtype=float)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
+        if not (np.isfinite(cdf[-1]) and cdf[-1] > 0.0):
+            raise DegenerateInputError(
+                f"numeric CDF total {float(cdf[-1])!r} is not finite and positive; "
+                "the input density carries no weight on the CDF grid")
         cdf /= cdf[-1]
         self._xs = xs
         self._cdf = cdf

@@ -32,7 +32,7 @@ from .maps import SampledMap
 
 # Branches whose image increment is below MERGE_TOL * (g_max - g_min) are
 # considered grid noise and fused into a neighbor.
-DEFAULT_MERGE_TOL = 1e-9
+MERGE_TOL = 1e-9
 
 # Critical values closer than VALUE_TOL * (g_max - g_min) collapse to one
 # entry.  Distinct extrema sharing a true image land on different grid
@@ -130,20 +130,20 @@ def _sign_change_bounds(ys: np.ndarray) -> list:
     return kept[flagged + [len(kept) - 1]].tolist()
 
 
-def detect_extrema(sm: SampledMap, merge_tol: float = DEFAULT_MERGE_TOL) -> MonotonePartition:
+def detect_extrema(sm: SampledMap) -> MonotonePartition:
     """Locate branch boundaries of a sampled map.
 
     An interior grid point is flagged when the products of adjacent
     first differences is <= 0; on an exact tie produced by a flat pair
     the earlier index wins.  Flagged points bounding an image increment
-    smaller than merge_tol * (g_max - g_min), and points between
+    smaller than MERGE_TOL * (g_max - g_min), and points between
     same-direction branches, are then fused away.
     """
     ys = sm.ys
     value_range = sm.g_max - sm.g_min
     if value_range == 0.0:
         raise DegenerateInputError("map is constant on the whole grid")
-    tol = merge_tol * value_range
+    tol = MERGE_TOL * value_range
 
     idx = _sign_change_bounds(ys)
 
@@ -178,9 +178,9 @@ def detect_extrema(sm: SampledMap, merge_tol: float = DEFAULT_MERGE_TOL) -> Mono
     masses = np.concatenate([[0.0], np.cumsum(np.abs(lam))])
     indices = np.asarray(idx, dtype=int)
     return MonotonePartition(
-        alphas=sm.xs[indices].copy(),
+        alphas=sm.xs[indices],
         alpha_indices=indices,
-        g_alphas=ys[indices].copy(),
+        g_alphas=ys[indices],
         lambdas=lam,
         masses=masses,
         total_variation=float(masses[-1]),

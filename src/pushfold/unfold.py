@@ -27,17 +27,28 @@ class UnfoldedMap:
     """Knots of the unfolded map; (knots_u[i], knots_x[i]) are the
     interpolation nodes of the inverse.  crease_us marks the images of
     interior branch boundaries, where the true inverse has vertical
-    tangents that the interpolant caps at a grid-dependent slope."""
+    tangents that the interpolant caps at a grid-dependent slope.
+
+    knots_u must increase strictly, so every interpolant segment has
+    positive length; construction raises UnfoldError otherwise.
+    """
 
     knots_u: np.ndarray
     knots_x: np.ndarray
-    total_variation: float
     crease_us: np.ndarray
 
     def __post_init__(self):
-        self.knots_u.setflags(write=False)
-        self.knots_x.setflags(write=False)
-        self.crease_us.setflags(write=False)
+        if not np.all(np.diff(self.knots_u) > 0.0):
+            raise UnfoldError(
+                "unfolded knots are not strictly increasing; the sampled map "
+                "has flat or non-monotone segments inside a branch"
+            )
+        for arr in (self.knots_u, self.knots_x, self.crease_us):
+            arr.setflags(write=False)
+
+    @property
+    def total_variation(self) -> float:
+        return float(self.knots_u[-1])
 
 
 def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
@@ -52,33 +63,18 @@ def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
         lo, hi = p.alpha_indices[j], p.alpha_indices[j + 1]
         seg = slice(lo, hi + 1)
         ku[seg] = p.masses[j] + np.abs(sm.ys[seg] - p.g_alphas[j])
-    if not np.all(np.diff(ku) > 0.0):
-        raise UnfoldError(
-            "unfolded knots are not strictly increasing; the sampled map "
-            "has flat or non-monotone segments inside a branch"
-        )
-    return UnfoldedMap(
-        knots_u=ku,
-        knots_x=sm.xs.copy(),
-        total_variation=p.total_variation,
-        crease_us=p.masses[1:-1].copy(),
-    )
+    return UnfoldedMap(knots_u=ku, knots_x=sm.xs, crease_us=p.masses[1:-1])
 
 
-def _bracket(um: UnfoldedMap, u):
-    """Range-checked queries clipped to [0, total_variation], with the
-    index of the interpolant segment bracketing each one.
-
-    The lookup is right-sided: a query exactly on a knot uses the segment
-    to its right; the top knot falls back to the last segment.
-    """
+def _checked(um: UnfoldedMap, u) -> np.ndarray:
+    """Queries as a float array, range-checked and clipped to
+    [0, total_variation]."""
     ua = np.atleast_1d(np.asarray(u, dtype=float))
-    slack = _END_SLACK * um.total_variation
-    if (ua < -slack).any() or (ua > um.total_variation + slack).any():
-        raise RangeError(f"u outside [0, {um.total_variation}]")
-    ua = np.clip(ua, 0.0, um.total_variation)
-    idx = np.searchsorted(um.knots_u, ua, side="right") - 1
-    return ua, np.clip(idx, 0, len(um.knots_u) - 2)
+    top = um.total_variation
+    slack = _END_SLACK * top
+    if (ua < -slack).any() or (ua > top + slack).any():
+        raise RangeError(f"u outside [0, {top}]")
+    return np.clip(ua, 0.0, top)
 
 
 def eta_eval(um: UnfoldedMap, u):
@@ -87,25 +83,18 @@ def eta_eval(um: UnfoldedMap, u):
     Exact at every knot; accepts a relative slack of 1e-12 beyond
     [0, total_variation] (clamped), raises RangeError further out.
     """
-    scalar = np.isscalar(u)
-    ua, idx = _bracket(um, u)
-    ku, kx = um.knots_u, um.knots_x
-    x = kx[idx] + (ua - ku[idx]) * (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
-    x = np.where(ua >= ku[-1], kx[-1], x)
-    return float(x[0]) if scalar else x
+    x = np.interp(_checked(um, u), um.knots_u, um.knots_x)
+    return float(x[0]) if np.isscalar(u) else x
 
 
 def eta_derivative(um: UnfoldedMap, u):
     """Slope dx/du of the bracketing interpolant segment (nonnegative).
 
-    On a knot the right segment's slope applies; at the top of the range
-    the last segment's.
+    The lookup is right-sided: on a knot the segment to its right
+    applies; the top knot falls back to the last segment.
     """
-    scalar = np.isscalar(u)
-    ua, idx = _bracket(um, u)
+    ua = _checked(um, u)
     ku, kx = um.knots_u, um.knots_x
-    du = ku[idx + 1] - ku[idx]
-    if (du <= 0.0).any():
-        raise UnfoldError("zero-length segment in unfolded knots")
-    slope = (kx[idx + 1] - kx[idx]) / du
-    return float(slope[0]) if scalar else slope
+    idx = np.clip(np.searchsorted(ku, ua, side="right") - 1, 0, len(ku) - 2)
+    slope = (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
+    return float(slope[0]) if np.isscalar(u) else slope

@@ -348,6 +348,26 @@ n_div = 20
         assert not (tmp_path / "o" / "meta.json").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("command,message", [
+        ("mc", "numeric CDF total 0.0 is not finite and positive"),
+        ("compare", "pushforward curve mass 0.0 is not finite and positive"),
+        ("density", "pushforward curve mass 0.0 is not finite and positive"),
+    ])
+    def test_mass_between_grid_points_exits_3(self, tmp_path, capsys, recwarn,
+                                              command, message):
+        # the spike at 0.5 is a Simpson node, so normalization succeeds,
+        # but it sits between the CDF grid points and every preimage
+        (tmp_path / "w.csv").write_text(
+            "x,w\n0,0\n0.49999,0\n0.5,1\n0.50001,0\n1,0\n")
+        cfg = write_config(tmp_path / "spike.cfg", reference_config("logistic3", [
+            ("kind = sin_plus_two\nomega = 5", "kind = table\npath = w.csv"),
+            ("n_samples = 1000000", "n_samples = 100000"),
+        ]))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 3
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["partition", "mc"])

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from conftest import make_sampled
+from conftest import experiment_defs, make_sampled, ripple_map
 
 from pushfold import (
     GridSpec,
     Logistic,
     RangeError,
     TableMap,
+    UnfoldedMap,
     UnfoldError,
     build_unfolded,
     detect_extrema,
@@ -50,6 +51,13 @@ class TestBuildUnfolded:
         p = detect_extrema(sm)  # merge fuses the flat pair into one branch
         with pytest.raises(UnfoldError):
             build_unfolded(sm, p)
+
+    @pytest.mark.parametrize("knots_u", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_constructor_rejects_knots_not_strictly_increasing(self, knots_u):
+        ku = np.asarray(knots_u)
+        with pytest.raises(UnfoldError):
+            UnfoldedMap(knots_u=ku, knots_x=np.arange(float(len(ku))),
+                        crease_us=np.empty(0))
 
     def test_slope_magnitudes_match_map(self):
         # within every branch the unfolded increments are the absolute
@@ -169,3 +177,76 @@ class TestEtaDerivative:
             _, um = build(sm)
             slopes.append(eta_derivative(um, 1.0))
         assert slopes[0] < slopes[1] < slopes[2]
+
+
+# The interpolant as it was written out by hand before eta_eval became
+# np.interp: the reference for the knot-exactness and ulp-bound tests.
+def reference_bracket(um, u):
+    ua = np.atleast_1d(np.asarray(u, dtype=float))
+    ua = np.clip(ua, 0.0, um.total_variation)
+    idx = np.searchsorted(um.knots_u, ua, side="right") - 1
+    return ua, np.clip(idx, 0, len(um.knots_u) - 2)
+
+
+def reference_eta_eval(um, u):
+    ua, idx = reference_bracket(um, u)
+    ku, kx = um.knots_u, um.knots_x
+    x = kx[idx] + (ua - ku[idx]) * (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
+    return np.where(ua >= ku[-1], kx[-1], x)
+
+
+def reference_eta_derivative(um, u):
+    ua, idx = reference_bracket(um, u)
+    ku, kx = um.knots_u, um.knots_x
+    return (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
+
+
+def _unfolded_cases():
+    cases = {name: (lambda m=m, g=g: sample_map(m, g))
+             for name, (m, _, g) in experiment_defs().items()}
+    for it in (7, 8, 9):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=it)
+        cases[f"logistic-it{it}"] = lambda m=m: sample_map(m, GridSpec(20000))
+    cases["ripple"] = ripple_map
+    return cases
+
+
+UNFOLDED_CASES = _unfolded_cases()
+
+
+@pytest.fixture(scope="module", params=sorted(UNFOLDED_CASES))
+def unfolded_queries(request):
+    """An unfolded map and queries across its range: random points, both
+    ends, the ends pushed out by the accepted 1e-12 slack, and every knot."""
+    _, um = build(UNFOLDED_CASES[request.param]())
+    top = um.total_variation
+    rng = np.random.default_rng(7)
+    us = np.concatenate([
+        rng.uniform(0.0, top, 20000),
+        [0.0, top, -1e-12 * top, top + 1e-12 * top],
+        um.knots_u,
+    ])
+    return um, us
+
+
+class TestInterpAgainstReference:
+    def test_eval_exact_on_every_knot(self, unfolded_queries):
+        um, _ = unfolded_queries
+        assert np.array_equal(eta_eval(um, um.knots_u), um.knots_x)
+
+    def test_eval_within_two_ulp(self, unfolded_queries):
+        um, us = unfolded_queries
+        x, ref = eta_eval(um, us), reference_eta_eval(um, us)
+        ulp = np.spacing(np.maximum(np.abs(x), np.abs(ref)))
+        assert np.all(np.abs(x - ref) <= 2 * ulp)
+
+    def test_ends_hit_end_knots(self, unfolded_queries):
+        um, _ = unfolded_queries
+        top = um.total_variation
+        assert eta_eval(um, -1e-12 * top) == um.knots_x[0]
+        assert eta_eval(um, top + 1e-12 * top) == um.knots_x[-1]
+
+    def test_derivative_bit_identical(self, unfolded_queries):
+        um, us = unfolded_queries
+        assert np.array_equal(eta_derivative(um, us),
+                              reference_eta_derivative(um, us))
