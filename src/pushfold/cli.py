@@ -206,22 +206,6 @@ def _write_csv(path: str, header: str, columns) -> None:
             fh.write(row_fmt % row)
 
 
-def read_eta_csv(path: str):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, 0], data[:, 1]
-
-
-def read_curve_csv(path: str):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, 0], data[:, 1], data[:, 2].astype(int)
-
-
-def read_hist_csv(path: str):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    edges = np.concatenate([data[:, 0], [data[-1, 1]]])
-    return edges, data[:, 2]
-
-
 def _partition_payload(part, table) -> dict:
     return {
         "k": int(part.n_branches),
@@ -344,6 +328,13 @@ def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pushfold",
@@ -356,7 +347,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the Monte Carlo seed from the config")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
                        help="worker cap for the Monte Carlo pushforward")
     args = parser.parse_args(argv)
 

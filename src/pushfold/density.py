@@ -1,11 +1,12 @@
 """Input densities and the pushforward density evaluation.
 
-A density specification normalizes its raw shape by composite Simpson
-quadrature at construction.  ``pushforward_density`` evaluates the density of
-the transformed variable on a per-interval midpoint grid: between two
-consecutive critical values the covering branches are known from the
-layer table, each branch contributes the input density at its local
-preimage times the inverse-map slope there, and the contributions sum.
+A density specification normalizes its raw shape at construction: by
+composite Simpson quadrature, or exactly for a piecewise-linear table.
+``pushforward_density`` evaluates the density of the transformed variable
+on a per-interval midpoint grid: between two consecutive critical values
+the covering branches are known from the layer table, each branch
+contributes the input density at its local preimage times the
+inverse-map slope there, and the contributions sum.
 Critical values themselves are never sampled (cell midpoints only), so
 the integrable singularities at interior extrema are represented by
 finite, grid-limited peaks.
@@ -61,7 +62,7 @@ class DensitySpec:
             raise ValueError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
         # an overflowing shape gives inf or nan here, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            z = simpson_integral(self._raw, self.alpha, self.beta)
+            z = self._integral()
         if not (math.isfinite(z) and z > 0.0):
             raise DegenerateInputError(
                 f"density normalization constant {z!r} is not finite and positive")
@@ -69,6 +70,10 @@ class DensitySpec:
 
     def _raw(self, x):
         raise NotImplementedError
+
+    def _integral(self) -> float:
+        """Integral of the raw shape over [alpha, beta]."""
+        return simpson_integral(self._raw, self.alpha, self.beta)
 
     def pdf(self, x):
         """Normalized density value(s) at x."""
@@ -115,6 +120,13 @@ class TableDensity(DensitySpec):
 
     def _raw(self, x):
         return np.interp(x, self.xs, self.weights)
+
+    def _integral(self) -> float:
+        """Exact trapezoid integral of the interpolated weights."""
+        inner = self.xs[(self.xs > self.alpha) & (self.xs < self.beta)]
+        x = np.concatenate([[self.alpha], inner, [self.beta]])
+        w = self._raw(x)
+        return float(np.sum(np.diff(x) * (w[:-1] + w[1:])) / 2.0)
 
 
 # config kind name -> density variant

@@ -101,15 +101,17 @@ def mc_density(
 
     The draws are streamed: the calling thread draws one ``_CHUNK``-sized
     chunk at a time in stream order, and a pool of ``threads`` workers
-    (at least one) pushes each chunk through the map and bins it.  At
-    most threads + 1 chunks are in flight, so memory is bounded by
-    threads x chunk whatever ``n_samples`` is.  Consecutive draws
+    (fewer than one raises ValueError) pushes each chunk through the map
+    and bins it.  At most threads + 1 chunks are in flight, so memory is
+    bounded by threads x chunk whatever ``n_samples`` is.  Consecutive draws
     continue one random stream and the per-chunk counts are integers, so
     the histogram does not depend on the chunk size or the worker count.
     Results are read in stream order, so an error raised in a chunk (a
     ``DivergenceError`` of the integrator, say) is the one of the first
     failing chunk in stream order.
     """
+    if threads < 1:
+        raise ValueError(f"need at least one worker thread, got {threads}")
     scan = sample_map(map_def, scan_grid or GridSpec(400))
     g_min, g_max = scan.g_min, scan.g_max
     edges = np.linspace(g_min, g_max, cfg.n_bins + 1)
@@ -124,11 +126,10 @@ def mc_density(
         counts, _ = np.histogram(np.clip(y, g_min, g_max), bins=edges)
         return counts, clamped
 
-    workers = max(threads, 1)
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     clamped = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c, cl in _in_order(pool, push_and_bin, chunks, workers + 1):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for c, cl in _in_order(pool, push_and_bin, chunks, threads + 1):
             counts += c
             clamped += cl
 

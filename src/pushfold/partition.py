@@ -1,9 +1,12 @@
 """Piecewise-monotone structure of a sampled map.
 
-``detect_extrema`` locates the monotone branches of a sampled map from the
-sign-change rule on first differences, producing a ``MonotonePartition``:
-the branch boundaries, the signed image increments of each branch, and
-their cumulative absolute sums (the coordinates of the unfolded range).
+``detect_extrema`` cuts a sampled map into strictly monotone branches in
+two linear passes: flag every point where the first differences do not
+keep a strict sign, then drop, left to right, each flag that would close
+a branch moving less than the merge tolerance.  Of the bounds left, those
+where the direction turns form a ``MonotonePartition``: the branch
+boundaries, the signed image increments of each branch, and their
+cumulative absolute sums (the coordinates of the unfolded range).
 
 ``build_layer_table`` then organizes the branch-boundary images into the
 sorted set of critical values, the index set of branches covering each
@@ -47,8 +50,8 @@ class MonotonePartition:
 
     alphas[j] are the grid abscissae bounding the branches (endpoints
     plus detected extrema), g_alphas their images, lambdas[j-1] the
-    signed image increment of branch j, masses the cumulative absolute
-    increments (masses[0] = 0), and total_variation their final sum.
+    signed image increment of branch j, and masses the cumulative absolute
+    increments (masses[0] = 0); total_variation is their final sum.
     """
 
     alphas: np.ndarray
@@ -56,7 +59,6 @@ class MonotonePartition:
     g_alphas: np.ndarray
     lambdas: np.ndarray
     masses: np.ndarray
-    total_variation: float
 
     def __post_init__(self):
         for arr in (self.alphas, self.alpha_indices, self.g_alphas,
@@ -66,6 +68,10 @@ class MonotonePartition:
     @property
     def n_branches(self) -> int:
         return len(self.lambdas)
+
+    @property
+    def total_variation(self) -> float:
+        return float(self.masses[-1])
 
 
 @dataclass(frozen=True)
@@ -114,30 +120,16 @@ class LayerTable:
         return float(self.values[-1])
 
 
-def _sign_change_bounds(ys: np.ndarray) -> list:
-    """Grid endpoints plus the points flagged by the sign-change rule, with
-    middles of equal-sample runs dropped first."""
-    plateau = np.zeros(len(ys), dtype=bool)
-    plateau[1:-1] = (ys[:-2] == ys[1:-1]) & (ys[1:-1] == ys[2:])
-    kept = np.flatnonzero(~plateau)
-    d = np.diff(ys[kept])
-    flagged = [0]
-    for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + 1).tolist():
-        if t > 1 and flagged[-1] == t - 1 and d[t - 1] == 0.0:
-            # flat pair: the earlier index already represents it
-            continue
-        flagged.append(t)
-    return kept[flagged + [len(kept) - 1]].tolist()
-
-
 def detect_extrema(sm: SampledMap) -> MonotonePartition:
-    """Locate branch boundaries of a sampled map.
+    """Locate branch boundaries of a sampled map in two linear passes.
 
-    An interior grid point is flagged when the products of adjacent
-    first differences is <= 0; on an exact tie produced by a flat pair
-    the earlier index wins.  Flagged points bounding an image increment
-    smaller than MERGE_TOL * (g_max - g_min), and points between
-    same-direction branches, are then fused away.
+    Every interior grid point where adjacent first differences have a
+    product <= 0 is flagged, plateaus and flat pairs included.  Left to
+    right, a flag that would close a branch moving less than
+    MERGE_TOL * (g_max - g_min) is dropped, so the short branch joins its
+    right neighbour; while the last branch is short, its left bound is
+    dropped instead.  Of the bounds left, only those where the direction
+    turns are kept.
     """
     ys = sm.ys
     value_range = sm.g_max - sm.g_min
@@ -145,45 +137,28 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
         raise DegenerateInputError("map is constant on the whole grid")
     tol = MERGE_TOL * value_range
 
-    idx = _sign_change_bounds(ys)
+    d = np.diff(ys)
+    idx = [0]
+    for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + 1).tolist():
+        if abs(ys[t] - ys[idx[-1]]) >= tol:
+            idx.append(t)
+    while len(idx) > 1 and abs(ys[-1] - ys[idx[-1]]) < tol:
+        idx.pop()
+    idx.append(len(ys) - 1)
 
-    # Fuse spurious branches until the partition is alternating and every
-    # branch moves by more than the merge tolerance.
-    while True:
-        lam = np.diff(ys[idx])
-        kill = None
-        for j in range(len(lam)):
-            if abs(lam[j]) < tol:
-                # absorb the flat branch into a neighbor: drop whichever
-                # of its bounds is interior
-                if j + 1 < len(idx) - 1:
-                    kill = j + 1
-                elif j > 0:
-                    kill = j
-                break
-        if kill is None:
-            for j in range(len(lam) - 1):
-                if lam[j] * lam[j + 1] > 0.0:
-                    kill = j + 1
-                    break
-        if kill is None:
-            break
-        if len(idx) <= 2:
-            raise DegenerateInputError("all branches merged away")
-        del idx[kill]
-
+    # Joining two branches of one direction never makes a short branch,
+    # so the bounds between them all go at once.
     lam = np.diff(ys[idx])
-    if len(lam) == 0 or np.all(np.abs(lam) < tol):
+    indices = np.delete(idx, np.flatnonzero(lam[:-1] * lam[1:] > 0.0) + 1)
+    lam = np.diff(ys[indices])
+    if np.all(np.abs(lam) < tol):
         raise DegenerateInputError("all branches merged away")
-    masses = np.concatenate([[0.0], np.cumsum(np.abs(lam))])
-    indices = np.asarray(idx, dtype=int)
     return MonotonePartition(
         alphas=sm.xs[indices],
         alpha_indices=indices,
         g_alphas=ys[indices],
         lambdas=lam,
-        masses=masses,
-        total_variation=float(masses[-1]),
+        masses=np.concatenate([[0.0], np.cumsum(np.abs(lam))]),
     )
 
 

@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 from conftest import CONFIG_DIR
 
-from pushfold.cli import (
-    _write_csv,
-    main,
-    read_curve_csv,
-    read_eta_csv,
-    read_hist_csv,
-)
+from pushfold.cli import _write_csv, main
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_eta_csv(path):
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return data[:, 0], data[:, 1]
+
+
+def read_curve_csv(path):
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return data[:, 0], data[:, 1], data[:, 2].astype(int)
+
+
+def read_hist_csv(path):
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    edges = np.concatenate([data[:, 0], [data[-1, 1]]])
+    return edges, data[:, 2]
 
 
 def write_config(path, body):
@@ -355,8 +365,9 @@ n_div = 20
     ])
     def test_mass_between_grid_points_exits_3(self, tmp_path, capsys, recwarn,
                                               command, message):
-        # the spike at 0.5 is a Simpson node, so normalization succeeds,
-        # but it sits between the CDF grid points and every preimage
+        # the spike at 0.5 has positive exact mass, so normalization
+        # succeeds, but it sits between the CDF grid points and every
+        # preimage
         (tmp_path / "w.csv").write_text(
             "x,w\n0,0\n0.49999,0\n0.5,1\n0.50001,0\n1,0\n")
         cfg = write_config(tmp_path / "spike.cfg", reference_config("logistic3", [
@@ -526,6 +537,16 @@ class TestMcAndCompare:
         timings = json.loads((out / "timings.json").read_text())
         assert timings["direct_seconds"] > 0 and timings["mc_seconds"] > 0
         assert "l1 =" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_fewer_than_one_thread_is_a_usage_error(self, tmp_path, identity_config,
+                                                    capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            run("mc", "--config", identity_config, "--out", tmp_path / "o",
+                "--threads", threads)
+        assert exc.value.code == 2
+        assert f"must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override(self, tmp_path, identity_config):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

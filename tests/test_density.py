@@ -67,6 +67,16 @@ class TestDensitySpec:
             total = simpson_integral(spec.pdf, spec.alpha, spec.beta)
             assert abs(total - 1.0) < 1e-10
 
+    def test_table_normalization_is_the_exact_trapezoid(self):
+        # a 2e-5-wide spike between Simpson nodes, and knots past [alpha, beta]
+        spike = TableDensity(alpha=0.0, beta=1.0,
+                             xs=np.array([0.0, 0.49999, 0.5, 0.50001, 1.0]),
+                             weights=np.array([0.01, 0.01, 1.0, 0.01, 0.01]))
+        assert spike.normalization == pytest.approx(0.0100099, rel=1e-12)
+        wide = TableDensity(alpha=0.25, beta=0.75, xs=np.array([0.0, 0.5, 1.0]),
+                            weights=np.array([0.0, 2.0, 0.0]))
+        assert wide.normalization == pytest.approx(0.75, rel=1e-15)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TableDensity(alpha=0.0, beta=1.0,

@@ -187,6 +187,12 @@ class TestStreamedMcDensity:
         small, large = traced_peak(2 ** 18), traced_peak(2 ** 20)
         assert large <= 1.25 * small, (small, large)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_fewer_than_one_worker_rejected(self, threads):
+        cfg = McConfig(n_samples=100, n_bins=5, seed=3)
+        with pytest.raises(ValueError, match=f"at least one worker thread, got {threads}"):
+            mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=threads)
+
     def test_divergence_in_a_worker_chunk_exits_4(self, tmp_path, capsys, monkeypatch):
         # every chunk diverges at t = its first sample; the error must
         # come from the first chunk of the stream
