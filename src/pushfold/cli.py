@@ -21,8 +21,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
+from .csvfmt import write_rows
 from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_density
 from .errors import (
     BranchError,
@@ -197,13 +196,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _write_csv(path: str, header: str, columns) -> None:
     """One row per index: integer columns as %d, the rest as %.17g."""
-    columns = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%" + _FLOAT_FMT
-                       for c in columns) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(row_fmt % row)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        write_rows(fh, columns)
 
 
 def _partition_payload(part, table) -> dict:

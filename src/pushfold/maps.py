@@ -55,7 +55,8 @@ class SampledMap:
     g_max: float
 
     def __post_init__(self):
-        self.xs.setflags(write=False)
+        # xs stays writable: UnfoldedMap shares it as knots_x, and
+        # np.interp copies a read-only argument on every call
         self.ys.setflags(write=False)
 
     @property

@@ -43,8 +43,9 @@ class UnfoldedMap:
                 "unfolded knots are not strictly increasing; the sampled map "
                 "has flat or non-monotone segments inside a branch"
             )
-        for arr in (self.knots_u, self.knots_x, self.crease_us):
-            arr.setflags(write=False)
+        # the knots stay writable: np.interp copies a read-only argument
+        # on every eta_eval call, 1.6 MB per array at n_div = 200000
+        self.crease_us.setflags(write=False)
 
     @property
     def total_variation(self) -> float:

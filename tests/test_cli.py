@@ -1,9 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import CONFIG_DIR
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pushfold import csvfmt
 from pushfold.cli import _write_csv, main
 
 
@@ -329,6 +333,118 @@ class TestCsvWriter:
         path = tmp_path / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == self.reference(header, columns)
+
+
+def reference_write_csv(path, header, columns):
+    """The per-row writer the artifacts were first written with: integer
+    columns as %d, the rest as %.17g, one ``%`` per row."""
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g"
+                       for c in columns) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(row_fmt % row)
+
+
+def written_like_reference(directory, columns):
+    header = ",".join("abc"[:len(columns)])
+    new, ref = directory / "new.csv", directory / "ref.csv"
+    _write_csv(new, header, columns)
+    reference_write_csv(ref, header, columns)
+    return new.read_bytes() == ref.read_bytes()
+
+
+def exact_ties():
+    """Doubles with exactly 18 significant digits, the last a 5: odd m / 2^j
+    with m * 5^j an 18-digit integer, so the 17-digit rounding is a tie."""
+    rng = np.random.default_rng(7)
+    ties = []
+    for j in range(1, 12):
+        low, high = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        if low < high:
+            ties.append((rng.integers(low, high, 150) | 1) / 2.0 ** j)
+    return np.concatenate(ties)
+
+
+def powers_of_ten():
+    """10^k for every k a double reaches, with both neighbours."""
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+INT64S = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+class TestBlockWriter:
+    """_write_csv writes the same bytes as the per-row reference writer."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writer")
+
+    @given(n_rows=st.integers(0, 40), kinds=st.lists(st.sampled_from("fi"),
+                                                     min_size=1, max_size=3),
+           data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_random_columns(self, directory, n_rows, kinds, data):
+        columns = [np.array(data.draw(st.lists(FINITE_FLOATS if k == "f" else INT64S,
+                                               min_size=n_rows, max_size=n_rows)),
+                            dtype=np.float64 if k == "f" else np.int64)
+                   for k in kinds]
+        assert written_like_reference(directory, columns)
+
+    @pytest.mark.parametrize("values", [
+        exact_ties(),
+        powers_of_ten(),
+        np.array([1e22, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 62, -0.0, 0.0,
+                  5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    ], ids=["ties", "powers-of-ten", "edges"])
+    def test_hard_floats(self, directory, values):
+        assert written_like_reference(directory, (values, -values))
+
+    def test_integers_around_two_to_the_53(self, directory):
+        ints = np.array([0, 1, -1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1,
+                         2 ** 62, -(2 ** 63), 2 ** 63 - 1], dtype=np.int64)
+        assert written_like_reference(directory, (ints.astype(float), ints))
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_block_boundaries(self, directory, offset):
+        # 0 rows, or one block and a row less, exactly, or more; a value
+        # that Python spells out sits on each side of the boundary
+        n_rows = 0 if offset is None else csvfmt.BLOCK_ROWS + offset
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        floats[[i for i in (0, n_rows // 2, csvfmt.BLOCK_ROWS - 1, csvfmt.BLOCK_ROWS)
+                if i < n_rows]] = 5e-324
+        ints = rng.integers(-10, 10, n_rows)
+        assert written_like_reference(directory, (floats, ints))
+        assert written_like_reference(directory, (floats[:1], ints[:1]))
+
+    def test_artifact_columns_of_the_reference_configs(self, directory, pipelines):
+        for run_ in pipelines.values():
+            um, curve = run_.um, run_.curve
+            assert written_like_reference(directory, (um.knots_u, um.knots_x))
+            assert written_like_reference(
+                directory, (curve.ys, curve.mu_ys, curve.interval_ids))
+
+    def test_memory_does_not_grow_with_the_row_count(self, directory):
+        # the writer's working set is a fixed set of block buffers; ten
+        # times the rows may add no more than one block's working set
+        block_bytes = csvfmt.BLOCK_ROWS * 3 * 2 * 8 * csvfmt._WORDS
+
+        def traced_peak(n_rows):
+            columns = (np.linspace(0.0, 3.7, n_rows), np.linspace(0.0, 1.0, n_rows) ** 2)
+            tracemalloc.start()
+            try:
+                _write_csv(directory / "m.csv", "u,x", columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(20001), traced_peak(200001)
+        assert abs(large - small) <= block_bytes, (small, large, block_bytes)
 
 
 class TestDegenerateInput:

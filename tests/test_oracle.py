@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -169,23 +170,35 @@ class TestStreamedMcDensity:
         assert np.array_equal(hist.heights, heights)
         assert hist.clamped_fraction == clamped_fraction
 
-    def test_memory_does_not_grow_with_the_sample_count(self):
-        def traced_peak(n_samples):
-            # least of three runs: a one-off allocation elsewhere in the
-            # process can raise one run's peak, growth raises all three
-            cfg = McConfig(n_samples=n_samples, n_bins=50, seed=3)
-            peaks = []
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=2)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            return min(peaks)
+    def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
+        # The map sleeps 20 ms per chunk, so the workers fall behind the
+        # draws as they do on the random-ODE maps; only the in-flight
+        # bound then keeps the drawn chunks from piling up.
+        def slow_map(map_def, x):
+            time.sleep(0.02)
+            return eval_map(map_def, x)
 
-        small, large = traced_peak(2 ** 18), traced_peak(2 ** 20)
-        assert large <= 1.25 * small, (small, large)
+        monkeypatch.setattr(oracle, "eval_map", slow_map)
+        # Counted in chunk arrays of _CHUNK float64.  At most threads + 1
+        # drawn chunks are pending, and each worker may still hold the
+        # chunk whose result was just taken; the calling thread draws the
+        # next chunk (uniform deviates and their inverse-CDF images); each
+        # worker holds three more arrays (the map's temporaries, then its
+        # values, their clipped copy and the histogram's sorted copy).
+        # Scheduling moves the peak in steps of one array, never past this
+        # count; one more array covers the small objects.
+        threads = 2
+        arrays = (threads + 1 + threads) + 2 + 3 * threads + 1
+        budget = arrays * oracle._CHUNK * 8
+        for n_samples in (2 ** 18, 2 ** 22):
+            cfg = McConfig(n_samples=n_samples, n_bins=50, seed=3)
+            tracemalloc.start()
+            try:
+                mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (n_samples, peak, budget)
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_fewer_than_one_worker_rejected(self, threads):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import experiment_defs, make_sampled, ripple_map
@@ -71,6 +73,21 @@ class TestBuildUnfolded:
 
 
 class TestEtaEval:
+    def test_queries_do_not_copy_the_knots(self):
+        # np.interp copies a read-only knot array on every call, so the
+        # knots of a fine grid must reach it writable
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3)
+        _, um = build(sample_map(m, GridSpec(200_000)))
+        u = np.linspace(0.0, um.total_variation, 100)
+        tracemalloc.start()
+        try:
+            eta_eval(um, u)
+            eta_derivative(um, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < um.knots_u.nbytes // 10, peak
+
     def test_identity(self, identity_map):
         _, um = build(identity_map)
         assert eta_eval(um, 0.3) == pytest.approx(0.3, abs=1e-15)
