@@ -2,9 +2,13 @@
 
 ``write_rows(fh, columns)`` writes one line per index, the columns
 joined by commas: each float as ``format(float(v), ".17g")`` and each
-integer as ``str(int(v))``, byte for byte.  It formats ``BLOCK_ROWS``
-rows at a time into buffers allocated once per call and writes each
-block with one ``fh.write``.
+integer as ``str(int(v))``, byte for byte.  It copies the rows of a
+block, ``BLOCK_VALUES // len(columns)`` of them, into one float64
+buffer, row by row, and formats all its values in one kernel pass into
+buffers allocated once per call; each block goes out in one
+``fh.write``.  Integers take the float path: an int64 up to 2^53 in
+magnitude converts to float exactly, and ``%.17g`` of that float is its
+``%d``.
 
 Digits.  The 17 significant digits of ``|v|`` in [1e-200, 1e200) are the
 integer ``D = round(|v|·10^k)``, with ``k = 16 - floor(log10|v|)``.  The
@@ -24,20 +28,22 @@ character a ``%g`` layout of a value can use::
 
 Word 0 holds the sign, the ``0.000`` lead of a fixed layout below 1, the
 first digit and a point; words 1 to 4 hold four digits each, every one
-followed by a point; word 5 holds the exponent and the separator.  Each
-word comes from a table lookup.  Which slots a value uses depends only
-on its layout (fixed with its exponent, or exponential with two or three
+followed by a point; word 5 holds the exponent and a comma.  Each word
+comes from a table lookup.  Which slots a value uses depends only on its
+layout (fixed with its exponent, or exponential with two or three
 exponent digits), its count of significant digits and its sign, so a
-table gives that mask as six words too.  One compress of a block's slots
-by their masks gives the CSV bytes in order.  A value spelled out by
-Python is copied into the slots from the first digit on.
+table gives that mask as six words too, and an AND with it zeroes the
+unused slots.  The fields of a block lie in output order, so one XOR per
+row turns the comma of its last field into a newline, and deleting the
+zero bytes gives the CSV bytes.  A value spelled out by Python is copied
+into the zeroed slots from the first digit on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK_ROWS = 1024
+BLOCK_VALUES = 8192
 
 # the fast path's range: 10^k fits a double-double for every
 # k = 16 - floor(log10|v|) it needs, with no overflow in the splits
@@ -102,22 +108,20 @@ def _digit_words():
 
 
 def _exponent_words():
-    """Word 5 of a field, ``e±xxx`` and the separator, by separator and exponent."""
+    """Word 5 of a field, ``e±xxx`` and a comma, by exponent."""
     x = np.arange(-_EXP_MAX, _EXP_MAX + 1, dtype=np.int16)
     chars = np.zeros((len(x), 8), dtype=np.uint8)
     chars[:, 0] = ord("e")
     chars[:, 1] = np.where(x < 0, ord("-"), ord("+"))
     for i, place in enumerate((100, 10, 1)):
         chars[:, 2 + i] = np.abs(x) // place % 10 + ord("0")
-    tables = {}
-    for sep in b",\n":
-        chars[:, _SEP - _E] = sep
-        tables[sep] = _words(chars)[:, 0].copy()
-    return tables
+    chars[:, _SEP - _E] = ord(",")
+    return _words(chars)[:, 0]
 
 
 def _mask_words():
-    """Field masks as 6 words, by (layout, significant digits - 1, sign).
+    """Field masks as 6 words, by (layout, significant digits - 1, sign):
+    byte 0xff in each slot the field uses, 0 elsewhere.
 
     Layouts 0 to 20 are fixed notation with exponent -4 to 16; 21 and 22
     are exponential with two and three exponent digits.
@@ -141,7 +145,7 @@ def _mask_words():
     used[..., _E:_SEP] = ~fixed[..., None, None]
     used[..., _E + 2] &= (layout == 22)[..., None]
     used[..., _SEP] = True
-    return _words(used.reshape(-1, 8 * _WORDS))
+    return _words(np.where(used, 0xFF, 0).reshape(-1, 8 * _WORDS))
 
 
 def _kept(table):
@@ -151,8 +155,11 @@ def _kept(table):
 
 _P10_HI, _P10_LO, _P10_HEAD, _P10_TAIL = map(_kept, _pow10_table())
 _LEAD_WORDS, _GROUP_WORDS, _GROUP_ENDS = map(_kept, _digit_words())
-_EXPONENT_WORDS = {sep: _kept(words) for sep, words in _exponent_words().items()}
+_EXPONENT_WORDS = _kept(_exponent_words())
 _MASK_WORDS = _kept(_mask_words())
+# XORed into word 5 of a row's last field, it turns the comma into "\n"
+_NEWLINE_FLIP = _words(np.array([[0] * (_SEP - _E) + [ord(",") ^ ord("\n")]
+                                 + [0] * (8 * _WORDS - _SEP - 1)], dtype=np.uint8))[0, 0]
 
 
 def write_rows(fh, columns) -> None:
@@ -162,24 +169,36 @@ def write_rows(fh, columns) -> None:
     ``str(int(v))``, every other column as ``format(float(v), ".17g")``.
     """
     columns = [np.asarray(c) for c in columns]
+    n_cols = len(columns)
     n_rows = min((len(c) for c in columns), default=0)
     if n_rows == 0:
         return
-    block = min(BLOCK_ROWS, n_rows)
-    chars = np.empty((block, _WORDS * len(columns)), dtype=np.uint64)
-    used = np.empty_like(chars)
-    out = np.empty(chars.nbytes, dtype=np.uint8)
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    block = min(max(BLOCK_VALUES // n_cols, 1), n_rows)
+    values = np.empty((block, n_cols))
+    chars = np.empty((block, _WORDS * n_cols), dtype=np.uint64)
+    masks = np.empty_like(chars)
+    integer = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
     for start in range(0, n_rows, block):
         rows = min(block, n_rows - start)
         for j, column in enumerate(columns):
-            field = slice(_WORDS * j, _WORDS * (j + 1))
-            _fill(chars[:rows, field], used[:rows, field],
-                  column[start:start + rows], seps[j])
-        mask = used[:rows].view(bool).ravel()
-        count = np.count_nonzero(mask)
-        np.compress(mask, chars[:rows].view(np.uint8).ravel(), out=out[:count])
-        fh.write(out[:count])
+            values[:rows, j] = column[start:start + rows]
+        fields = rows * n_cols
+        spell = _fill(chars[:rows].reshape(fields, _WORDS),
+                      masks[:rows].reshape(fields, _WORDS), values[:rows].ravel())
+        # an integer beyond 2^53 may have been rounded on its way to float
+        for j in integer:
+            spell[j::n_cols] |= np.abs(values[:rows, j]) >= 2.0 ** 53
+        slots = chars[:rows].view(np.uint8).reshape(fields, 8 * _WORDS)
+        for i in np.flatnonzero(spell).tolist():
+            column = columns[i % n_cols]
+            v = column[start + i // n_cols]
+            text = (str(int(v)) if column.dtype.kind in "iu"
+                    else format(float(v), ".17g")).encode()
+            slots[i] = 0
+            slots[i, _DIGIT0:_DIGIT0 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+            slots[i, _SEP] = ord(",")
+        chars[:rows, -1] ^= _NEWLINE_FLIP
+        fh.write(chars[:rows].tobytes().translate(None, b"\0"))
 
 
 def _significands(v):
@@ -200,9 +219,11 @@ def _significands(v):
     head, tail = _split(a)
     t = (((head * _P10_HEAD[k] - p) + head * _P10_TAIL[k] + tail * _P10_HEAD[k])
          + tail * _P10_TAIL[k]) + a * _P10_LO[k]
-    digits = p.astype(np.int64) + np.rint(t).astype(np.int64)
-    # the range is tested on p + t before rounding, then on the rounded digits
-    undecided = ((np.abs(t - np.floor(t) - 0.5) <= _TIE_MARGIN)
+    rounded = np.rint(t)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    # |t - rint(t)| >= 1/2 - margin is |t - floor(t) - 1/2| <= margin; the
+    # range is tested on p + t before rounding, then on the rounded digits
+    undecided = ((np.abs(t - rounded) >= 0.5 - _TIE_MARGIN)
                  | (p < 1e16) | ((p == 1e16) & (t < 0))
                  | (p > 1e17) | ((p == 1e17) & (t >= 0)) | (digits >= 10 ** 17))
     undecided = ~zero & (~fast | undecided)
@@ -211,15 +232,14 @@ def _significands(v):
     return digits, exp10, undecided
 
 
-def _fill(chars, used, values, sep) -> None:
-    """Lay out ``values`` in the field words ``chars`` and their masks in ``used``."""
-    exact_int = values.dtype.kind in "iu"
-    v = values.astype(np.float64, copy=False)
-    digits, exp10, spell = _significands(v)
-    if exact_int:
-        # %.17g of an integer-valued double up to 2^53 is its %d
-        spell |= (values > 2 ** 53) | (values < -(2 ** 53))
+def _fill(chars, masks, v):
+    """Lay out the float64 ``v`` in the field words ``chars``, each field
+    followed by a comma and its unused slots zero; ``masks`` is scratch.
 
+    Returns the mask of the values Python must spell out; their words are
+    left for the caller to fill.
+    """
+    digits, exp10, spell = _significands(v)
     lead = digits // 10 ** 16
     chars[:, 0] = _LEAD_WORDS[lead]
     rest = digits - lead * 10 ** 16
@@ -230,19 +250,11 @@ def _fill(chars, used, values, sep) -> None:
         rest -= group * scale
         chars[:, 1 + g] = _GROUP_WORDS[group]
         np.maximum(significant, _GROUP_ENDS[group] + (1 + 4 * g), out=significant)
-    chars[:, 5] = _EXPONENT_WORDS[sep][exp10 + _EXP_MAX]
+    chars[:, 5] = _EXPONENT_WORDS[exp10 + _EXP_MAX]
 
     fixed = (exp10 >= -4) & (exp10 < 17)
     layout = np.where(fixed, exp10 + 4, np.where(np.abs(exp10) >= 100, 22, 21))
-    used[:] = _MASK_WORDS[(layout * 17 + significant - 1) * 2 + np.signbit(v)]
-
-    slots, marks = chars.view(np.uint8), used.view(bool)
-    for i in np.flatnonzero(spell):
-        text = (str(int(values[i])) if exact_int
-                else format(float(values[i]), ".17g")).encode()
-        end = _DIGIT0 + len(text)
-        slots[i, _DIGIT0:end] = np.frombuffer(text, dtype=np.uint8)
-        marks[i] = False
-        marks[i, _DIGIT0:end] = True
-        marks[i, _SEP] = True
-
+    key = (layout * 17 + significant - 1) * 2 + np.signbit(v)
+    np.take(_MASK_WORDS, key, axis=0, out=masks, mode="clip")
+    np.bitwise_and(chars, masks, out=chars)
+    return spell

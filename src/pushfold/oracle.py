@@ -81,10 +81,6 @@ class InverseCdfSampler:
         u = self._rng.random(n)
         return np.interp(u, self._cdf, self._xs)
 
-    def numeric_cdf(self, x) -> np.ndarray:
-        """CDF values used for inversion (exposed for validation)."""
-        return np.interp(x, self._xs, self._cdf)
-
 
 def mc_density(
     map_def: MapDefinition,

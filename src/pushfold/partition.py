@@ -43,6 +43,10 @@ MERGE_TOL = 1e-9
 # above grid-induced splitting and well below genuine value gaps.
 DEFAULT_VALUE_TOL = 1e-3
 
+# detect_extrema flags the grid in pieces of this many interior points,
+# so its first differences never take a whole grid array.
+FLAG_PIECE = 16384
+
 
 @dataclass(frozen=True, eq=False)
 class MonotonePartition:
@@ -124,7 +128,8 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
     """Locate branch boundaries of a sampled map in two linear passes.
 
     Every interior grid point where adjacent first differences have a
-    product <= 0 is flagged, plateaus and flat pairs included.  Left to
+    product <= 0 is flagged, plateaus and flat pairs included; the grid
+    is scanned in pieces of FLAG_PIECE points.  Left to
     right, a flag that would close a branch moving less than
     MERGE_TOL * (g_max - g_min) is dropped, so the short branch joins its
     right neighbour; while the last branch is short, its left bound is
@@ -137,11 +142,13 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
         raise DegenerateInputError("map is constant on the whole grid")
     tol = MERGE_TOL * value_range
 
-    d = np.diff(ys)
     idx = [0]
-    for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + 1).tolist():
-        if abs(ys[t] - ys[idx[-1]]) >= tol:
-            idx.append(t)
+    for start in range(0, len(ys) - 2, FLAG_PIECE):
+        # the interior points start + 1 .. start + FLAG_PIECE
+        d = np.diff(ys[start:start + FLAG_PIECE + 2])
+        for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + (start + 1)).tolist():
+            if abs(ys[t] - ys[idx[-1]]) >= tol:
+                idx.append(t)
     while len(idx) > 1 and abs(ys[-1] - ys[idx[-1]]) < tol:
         idx.pop()
     idx.append(len(ys) - 1)

@@ -21,6 +21,10 @@ from .partition import MonotonePartition
 # Relative slack accepted beyond [0, total_variation] in inverse queries.
 _END_SLACK = 1e-12
 
+# Knot pairs per piece of the increase check, so that it takes no
+# temporary as long as the grid.
+_CHECK_PIECE = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class UnfoldedMap:
@@ -38,7 +42,9 @@ class UnfoldedMap:
     crease_us: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.diff(self.knots_u) > 0.0):
+        ku = self.knots_u
+        if not all((np.diff(ku[i:i + _CHECK_PIECE + 1]) > 0.0).all()
+                   for i in range(0, len(ku) - 1, _CHECK_PIECE)):
             raise UnfoldError(
                 "unfolded knots are not strictly increasing; the sampled map "
                 "has flat or non-monotone segments inside a branch"
@@ -62,8 +68,11 @@ def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
     ku = np.empty_like(sm.ys)
     for j in range(p.n_branches):
         lo, hi = p.alpha_indices[j], p.alpha_indices[j + 1]
-        seg = slice(lo, hi + 1)
-        ku[seg] = p.masses[j] + np.abs(sm.ys[seg] - p.g_alphas[j])
+        # in place, so no temporary is as long as the branch
+        seg = ku[lo:hi + 1]
+        np.subtract(sm.ys[lo:hi + 1], p.g_alphas[j], out=seg)
+        np.abs(seg, out=seg)
+        np.add(seg, p.masses[j], out=seg)
     return UnfoldedMap(knots_u=ku, knots_x=sm.xs, crease_us=p.masses[1:-1])
 
 

@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,23 @@ def experiment_defs():
             GridSpec(400),
         ),
     }
+
+
+def fine_grid_maps(n_div=200_000):
+    """The maps of the fine-grid benchmark, sampled at n_div."""
+    defs = experiment_defs()
+    return {name: sample_map(defs[name][0], GridSpec(n_div))
+            for name in ("logistic", "oscillator", "parabola")}
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @dataclass

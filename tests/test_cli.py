@@ -411,16 +411,39 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_block_boundaries(self, directory, offset):
-        # 0 rows, or one block and a row less, exactly, or more; a value
-        # that Python spells out sits on each side of the boundary
-        n_rows = 0 if offset is None else csvfmt.BLOCK_ROWS + offset
-        rng = np.random.default_rng(n_rows)
-        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
-        floats[[i for i in (0, n_rows // 2, csvfmt.BLOCK_ROWS - 1, csvfmt.BLOCK_ROWS)
-                if i < n_rows]] = 5e-324
-        ints = rng.integers(-10, 10, n_rows)
-        assert written_like_reference(directory, (floats, ints))
-        assert written_like_reference(directory, (floats[:1], ints[:1]))
+        # 0 rows, or one block and a row less, exactly, or more, for one
+        # to three columns; the last column holds a value that Python
+        # spells out on each side of the block edge
+        for kinds in ("f", "fi", "ffi"):
+            block = csvfmt.BLOCK_VALUES // len(kinds)
+            n_rows = 0 if offset is None else block + offset
+            rng = np.random.default_rng(n_rows)
+            floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+            ints = rng.integers(-10, 10, n_rows)
+            edges = [i for i in (0, n_rows // 2, block - 1, block) if i < n_rows]
+            if kinds[-1] == "f":
+                floats[edges] = 5e-324
+            else:
+                ints[edges] = [2 ** 53 + 1, -(2 ** 62), 2 ** 63 - 1, -(2 ** 53) - 3][:len(edges)]
+            columns = [floats * (j + 1) for j in range(len(kinds) - 1)]
+            columns.append(floats if kinds[-1] == "f" else ints)
+            assert written_like_reference(directory, columns), kinds
+            assert written_like_reference(directory, [c[:1] for c in columns]), kinds
+
+    @given(block_values=st.integers(1, 7), n_rows=st.integers(0, 12),
+           kinds=st.lists(st.sampled_from("fi"), min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_random_columns_in_small_blocks(self, directory, block_values, n_rows,
+                                             kinds, data):
+        # blocks of one to seven values (one row when a row holds more),
+        # so mixed columns cross many block edges
+        columns = [np.array(data.draw(st.lists(FINITE_FLOATS if k == "f" else INT64S,
+                                               min_size=n_rows, max_size=n_rows)),
+                            dtype=np.float64 if k == "f" else np.int64)
+                   for k in kinds]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvfmt, "BLOCK_VALUES", block_values)
+            assert written_like_reference(directory, columns)
 
     def test_artifact_columns_of_the_reference_configs(self, directory, pipelines):
         for run_ in pipelines.values():
@@ -431,8 +454,8 @@ class TestBlockWriter:
 
     def test_memory_does_not_grow_with_the_row_count(self, directory):
         # the writer's working set is a fixed set of block buffers; ten
-        # times the rows may add no more than one block's working set
-        block_bytes = csvfmt.BLOCK_ROWS * 3 * 2 * 8 * csvfmt._WORDS
+        # times the rows may add no more than 288 KB
+        block_bytes = 294912
 
         def traced_peak(n_rows):
             columns = (np.linspace(0.0, 3.7, n_rows), np.linspace(0.0, 1.0, n_rows) ** 2)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from conftest import (
     experiment_defs,
+    fine_grid_maps,
     make_sampled,
     random_piecewise_cubic,
     ripple_map,
+    traced_peak,
 )
 
 from pushfold import partition
@@ -231,6 +233,38 @@ class TestExtremumFlagsMatchReference:
             for sm in (ripple, random_piecewise_cubic(rng)):
                 assert_matches_reference(make_sampled(sm.xs, jittered(rng, sm.ys, scale)))
         assert_matches_reference(flat_half_jitter_map(2000))
+
+
+class TestFlagPieces:
+    """detect_extrema flags the grid piece by piece, with the products of
+    the whole-grid test and no temporary as long as the grid."""
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    def test_pieces_keep_the_reference_flags(self, monkeypatch, piece):
+        monkeypatch.setattr(partition, "FLAG_PIECE", piece)
+        for n_div in (4, 50, 2000):
+            assert_matches_reference(ripple_map(n_div))
+        rng = np.random.default_rng(piece)
+        for _ in range(10):
+            assert_matches_reference(random_piecewise_cubic(rng))
+        for k in range(400):
+            n = int(rng.integers(3, 20))
+            ys = rng.integers(0, 4, size=n).astype(float)
+            assert_matches_reference(make_sampled(np.arange(n), ys))
+
+    @pytest.mark.parametrize("piece", [1, 2, 3])
+    def test_underflowing_products_flag_across_pieces(self, monkeypatch, piece):
+        # 1e-300 * 1e-300 rounds to zero, so point 2 is flagged inside a
+        # rising run and, kept, makes the flag at the 5e-10 peak too short
+        monkeypatch.setattr(partition, "FLAG_PIECE", piece)
+        sm = make_sampled(np.arange(7), [-1.0, -1e-300, 0.0, 1e-300, 2e-300, 5e-10, -1.0])
+        assert_matches_reference(sm)
+        assert detect_extrema(sm).alpha_indices.tolist() == [0, 2, 6]
+
+    def test_peak_below_one_grid_array(self):
+        for name, sm in fine_grid_maps().items():
+            _, peak = traced_peak(detect_extrema, sm)
+            assert peak < sm.ys.nbytes, (name, peak, sm.ys.nbytes)
 
 
 def test_jitter_on_a_flat_half_partitions_in_linear_time():

@@ -2,8 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import experiment_defs, make_sampled, ripple_map
+from conftest import (
+    experiment_defs,
+    fine_grid_maps,
+    make_sampled,
+    ripple_map,
+    traced_peak,
+)
 
+from pushfold import unfold
 from pushfold import (
     GridSpec,
     Logistic,
@@ -60,6 +67,32 @@ class TestBuildUnfolded:
         with pytest.raises(UnfoldError):
             UnfoldedMap(knots_u=ku, knots_x=np.arange(float(len(ku))),
                         crease_us=np.empty(0))
+
+    def test_knots_match_the_branch_formula(self):
+        # masses[j] + |g(x_i) - g at the branch start|, bit for bit
+        sms = [sample_map(d[0], GridSpec(1000)) for d in experiment_defs().values()]
+        for sm in sms + [ripple_map()]:
+            p, um = build(sm)
+            expected = np.empty_like(sm.ys)
+            for j in range(p.n_branches):
+                seg = slice(p.alpha_indices[j], p.alpha_indices[j + 1] + 1)
+                expected[seg] = p.masses[j] + np.abs(sm.ys[seg] - p.g_alphas[j])
+            assert um.knots_u.tobytes() == expected.tobytes()
+
+    def test_peak_is_the_output_and_at_most_a_tenth_of_a_megabyte(self):
+        for name, sm in fine_grid_maps().items():
+            p = detect_extrema(sm)
+            um, peak = traced_peak(build_unfolded, sm, p)
+            assert peak <= um.knots_u.nbytes + 100_000, (name, peak)
+
+    @pytest.mark.parametrize("bad", range(1, 10))
+    def test_increase_is_checked_across_pieces(self, monkeypatch, bad):
+        monkeypatch.setattr(unfold, "_CHECK_PIECE", 3)
+        ku = np.arange(10.0)
+        UnfoldedMap(knots_u=ku.copy(), knots_x=ku.copy(), crease_us=np.empty(0))
+        ku[bad] = ku[bad - 1]
+        with pytest.raises(UnfoldError):
+            UnfoldedMap(knots_u=ku, knots_x=np.arange(10.0), crease_us=np.empty(0))
 
     def test_slope_magnitudes_match_map(self):
         # within every branch the unfolded increments are the absolute
