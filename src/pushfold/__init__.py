@@ -17,7 +17,6 @@ from .density import (
     SinPlusTwo,
     TableDensity,
     Uniform,
-    curve_mass,
     pushforward_density,
     simpson_integral,
 )
@@ -59,7 +58,6 @@ from .partition import (
     MonotonePartition,
     build_layer_table,
     detect_extrema,
-    index_set,
     layer_membership,
     transition_check,
     u_of_y,

@@ -6,7 +6,7 @@ and persist every artifact as CSV/JSON.  Experiments are described by a
 flat key-section config file; see README for the format and the five
 checked-in experiment configs.
 
-Exit codes: 0 success, 2 config error, 3 degenerate input, 4 numerical
+Exit codes: 0 success, 2 config or usage error, 3 degenerate input, 4 numerical
 failure.
 """
 
@@ -160,12 +160,7 @@ class Experiment:
         self.mc = None
         if "mc" in sections:
             try:
-                m = sections["mc"]
-                self.mc = McConfig(
-                    n_samples=int(m.get("n_samples", "1000000")),
-                    n_bins=int(m.get("n_bins", "200")),
-                    seed=int(m.get("seed", "0")),
-                )
+                self.mc = McConfig(**{k: int(v) for k, v in sections["mc"].items()})
             except ValueError as exc:
                 raise ConfigError(f"bad [mc] section: {exc}") from exc
             if seed_override is not None:
@@ -232,9 +227,8 @@ def _run_direct_stages(exp: Experiment):
     part = detect_extrema(sm)
     table = build_layer_table(part)
     um = build_unfolded(sm, part)
-    delta = (table.g_max - table.g_min) / exp.delta_cells
-    curve = pushforward_density(sm, part, table, um, exp.density, delta=delta,
-                        gprime=exp.gprime())
+    curve = pushforward_density(sm, part, table, um, exp.density,
+                                cells=exp.delta_cells, gprime=exp.gprime())
     elapsed = time.perf_counter() - t0
     return sm, part, table, um, curve, elapsed
 
@@ -348,7 +342,10 @@ def main(argv=None) -> int:
 
     try:
         exp = Experiment(args.config, seed_override=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--out {args.out}: {exc.strerror}")
         if args.command == "partition":
             return cmd_partition(exp, args.out)
         if args.command == "unfold":

@@ -6,7 +6,9 @@ composite Simpson quadrature, or exactly for a piecewise-linear table.
 on a per-interval midpoint grid: between two consecutive critical values
 the covering branches are known from the layer table, each branch
 contributes the input density at its local preimage times the
-inverse-map slope there, and the contributions sum.
+inverse-map slope there, and the contributions sum.  The cell width is
+the range over a requested cell count, rounded per interval, and the
+curve mass is summed interval by interval as the cells fill.
 Critical values themselves are never sampled (cell midpoints only), so
 the integrable singularities at interior extrema are represented by
 finite, grid-limited peaks.
@@ -39,13 +41,11 @@ DEFAULT_CELLS = 500
 PAIR_BLOCK = 4096
 
 
-def simpson_integral(f, a: float, b: float, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson quadrature with an even number of panels."""
-    if panels % 2:
-        raise ValueError("panel count must be even")
-    xs = np.linspace(a, b, panels + 1)
+def simpson_integral(f, a: float, b: float) -> float:
+    """Composite Simpson quadrature on SIMPSON_PANELS (even) panels."""
+    xs = np.linspace(a, b, SIMPSON_PANELS + 1)
     ys = np.asarray(f(xs), dtype=float)
-    h = (b - a) / panels
+    h = (b - a) / SIMPSON_PANELS
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
@@ -139,8 +139,10 @@ class DensityCurve:
 
     edges holds the critical values bounding the intervals;
     interval_ids[q] is the 0-based interval of point q.  delta is the
-    requested global step; each interval uses the nearest step that fits
-    an integer number of cells, so no point ever lands on an edge.
+    global step, the range over the requested cell count; each interval
+    uses the nearest step that fits an integer number of cells, so no
+    point ever lands on an edge.  mass is the curve integral: per
+    interval, the cell sum of midpoint values times the cell width.
     """
 
     ys: np.ndarray
@@ -155,36 +157,33 @@ class DensityCurve:
             arr.setflags(write=False)
 
 
-def _interval_cells(width: float, delta: float) -> int:
-    return max(1, int(round(width / delta)))
-
-
 def pushforward_density(
     sm: SampledMap,
     p: MonotonePartition,
     table: LayerTable,
     um: UnfoldedMap,
     spec: DensitySpec,
-    delta: float | None = None,
+    cells: int = DEFAULT_CELLS,
     gprime=None,
 ) -> DensityCurve:
     """Evaluate the pushforward density on per-interval midpoint grids.
 
     At each evaluation point y the contributions of all covering
     branches are summed: input density at the branch preimage times the
-    local inverse slope.  The slope comes from the interpolant by
-    default; passing ``gprime`` (a callable for dg/dx) switches the
-    Jacobian to 1/|gprime| evaluated at the preimage.
+    local inverse slope.  The global step is the range over ``cells``.
+    The slope comes from the interpolant by default; passing ``gprime``
+    (a callable for dg/dx) switches the Jacobian to 1/|gprime| evaluated
+    at the preimage.
     """
-    if delta is None:
-        delta = (table.g_max - table.g_min) / DEFAULT_CELLS
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if cells < 1:
+        raise ValueError(f"need at least one cell, got {cells}")
+    delta = (table.g_max - table.g_min) / cells
 
     ys_out, mu_out, id_out = [], [], []
+    mass = 0.0
     for i in range(len(table.values) - 1):
         lo, hi = table.values[i], table.values[i + 1]
-        n_cells = _interval_cells(hi - lo, delta)
+        n_cells = max(1, int(round((hi - lo) / delta)))
         step = (hi - lo) / n_cells
         y = lo + (np.arange(n_cells) + 0.5) * step
         branches = np.array(sorted(table.index_sets[i]))
@@ -199,7 +198,7 @@ def pushforward_density(
             j = np.tile(branches, stop - start)
             # cell midpoints next to a collapsed critical value can sit
             # just past the image of a covering branch
-            u = u_of_y(y[start:stop][point], j, p, check=False)
+            u = u_of_y(y[start:stop][point], j, p)
             x = eta_eval(um, u)
             if gprime is None:
                 jac = eta_derivative(um, u)
@@ -207,39 +206,21 @@ def pushforward_density(
                 with np.errstate(divide="ignore"):
                     jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
             acc[start:stop] = np.bincount(point, weights=spec.pdf(x) * jac)
+        mass += acc.sum() * step
         ys_out.append(y)
         mu_out.append(acc)
         id_out.append(np.full(n_cells, i, dtype=int))
 
-    curve = DensityCurve(
+    mass = float(mass)
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise DegenerateInputError(
+            f"pushforward curve mass {mass!r} is not finite and positive; "
+            "the input density carries no weight at the sampled preimages")
+    return DensityCurve(
         ys=np.concatenate(ys_out),
         mu_ys=np.concatenate(mu_out),
         interval_ids=np.concatenate(id_out),
         edges=table.values,
         delta=float(delta),
-        mass=0.0,
+        mass=mass,
     )
-    mass = curve_mass(curve)
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise DegenerateInputError(
-            f"pushforward curve mass {mass!r} is not finite and positive; "
-            "the input density carries no weight at the sampled preimages")
-    object.__setattr__(curve, "mass", mass)
-    return curve
-
-
-def curve_mass(curve: DensityCurve) -> float:
-    """Integral of the curve: per-interval cell sums, intervals added up.
-
-    Cells are uniform within an interval, so summing midpoint values
-    times the cell width equals the trapezoid rule over the points with
-    flat half-cell extensions at both interval ends.
-    """
-    if len(curve.ys) == 0:
-        raise ValueError("empty curve")
-    total = 0.0
-    for i in np.unique(curve.interval_ids):
-        inside = curve.interval_ids == i
-        width = curve.edges[i + 1] - curve.edges[i]
-        total += curve.mu_ys[inside].sum() * (width / inside.sum())
-    return float(total)

@@ -17,9 +17,9 @@ class DivergenceError(Exception):
     became non-finite.
     """
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"state became non-finite at t={t:g}")
+        super().__init__(f"state became non-finite at t={t:g}")
 
 
 class RangeError(ValueError):
@@ -27,7 +27,7 @@ class RangeError(ValueError):
 
 
 class BranchError(ValueError):
-    """Image value does not belong to the requested monotone branch."""
+    """Branch index outside 1..n_branches of the queried partition."""
 
 
 class TableConstructionError(Exception):

@@ -24,6 +24,9 @@ _CHUNK = 32768
 
 @dataclass(frozen=True)
 class McConfig:
+    """Monte Carlo settings; an [mc] config section overrides these
+    defaults key by key."""
+
     n_samples: int = 1_000_000
     n_bins: int = 200
     seed: int = 0
@@ -59,13 +62,13 @@ class Histogram:
 class InverseCdfSampler:
     """Draw from a density spec by inverting its numeric CDF.
 
-    The CDF is accumulated by the trapezoid rule on a fixed uniform
-    grid and inverted by monotone linear interpolation of uniform
-    deviates; the stream is fully determined by the seed.
+    The CDF is accumulated by the trapezoid rule on a uniform grid of
+    CDF_GRID_POINTS points and inverted by monotone linear interpolation
+    of uniform deviates; the stream is fully determined by the seed.
     """
 
-    def __init__(self, spec: DensitySpec, seed: int, grid_points: int = CDF_GRID_POINTS):
-        xs = np.linspace(spec.alpha, spec.beta, grid_points)
+    def __init__(self, spec: DensitySpec, seed: int):
+        xs = np.linspace(spec.alpha, spec.beta, CDF_GRID_POINTS)
         pdf = np.asarray(spec.pdf(xs), dtype=float)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
         if not (np.isfinite(cdf[-1]) and cdf[-1] > 0.0):
@@ -92,8 +95,10 @@ def mc_density(
     """Histogram density of the pushforward of cfg.n_samples draws.
 
     The bin range [g_min, g_max] comes from a preliminary uniform-grid
-    scan of the map (400 subdivisions unless a grid is given); values
-    jittering marginally outside it are clamped into the boundary bins.
+    scan of the map; values jittering marginally outside it are clamped
+    into the boundary bins.  The command line scans on the experiment's
+    own grid, so the bins span the range the direct path samples; other
+    callers may omit ``scan_grid`` for 400 subdivisions.
 
     The draws are streamed: the calling thread draws one ``_CHUNK``-sized
     chunk at a time in stream order, and a pool of ``threads`` workers

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     BranchError,
     DegenerateInputError,
-    RangeError,
     TableConstructionError,
 )
 from .maps import SampledMap
@@ -88,32 +87,23 @@ class BoundaryClassification:
     endpoint_minima: int = 0
     endpoint_maxima: int = 0
 
-    @property
-    def total(self) -> int:
-        return (self.interior_minima + self.interior_maxima + self.regular
-                + self.endpoint_minima + self.endpoint_maxima)
-
 
 @dataclass(frozen=True, eq=False)
 class LayerTable:
     """Sorted critical values with per-interval branch index sets.
 
     values[i] is the i-th critical value (values[0] = g_min,
-    values[-1] = g_max); midpoints[i] the center of the open interval
-    (values[i], values[i+1]); index_sets[i] the 1-based branches whose
-    image covers that interval; classifications[i] the preimage
-    classification of values[i].
+    values[-1] = g_max); index_sets[i] the 1-based branches whose image
+    covers the open interval (values[i], values[i+1]); classifications[i]
+    the preimage classification of values[i].
     """
 
     values: np.ndarray
-    midpoints: np.ndarray
     index_sets: tuple
     classifications: tuple
-    value_tol_abs: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.midpoints.setflags(write=False)
 
     @property
     def g_min(self) -> float:
@@ -181,38 +171,25 @@ def _branch_offset(y, j, p: MonotonePartition):
     return (y - p.g_alphas[j - 1]) * np.sign(lam), np.abs(lam)
 
 
-def layer_membership(y, j, p: MonotonePartition, strict: bool = True):
-    """True where y lies inside the image interval of branch j (1-based).
+def layer_membership(y, j, p: MonotonePartition):
+    """True where y lies strictly inside the image interval of branch j
+    (1-based); the branch-endpoint images are excluded.
 
-    y and j broadcast against each other; two scalars give a bool.  With
-    ``strict`` (the default) the branch-endpoint images are excluded;
-    with ``strict=False`` they are included.
+    y and j broadcast against each other; two scalars give a bool.
     """
     t, width = _branch_offset(y, j, p)
-    if strict:
-        inside = (0.0 < t) & (t < width)
-    else:
-        inside = (0.0 <= t) & (t <= width)
+    inside = (0.0 < t) & (t < width)
     return bool(inside) if np.ndim(inside) == 0 else inside
 
 
-def u_of_y(y, j, p: MonotonePartition, check: bool = True):
+def u_of_y(y, j, p: MonotonePartition):
     """Unfolded coordinate of the branch-j preimage of y.
 
     y and j broadcast against each other; two scalars give a float.  The
-    branch start image maps to masses[j-1], the end image to masses[j].
-    With ``check`` a y outside the closed image interval of its branch
-    raises BranchError; without it the branch line is extended past its
-    ends.
+    branch start image maps to masses[j-1], the end image to masses[j],
+    and the branch line extends past both ends.
     """
-    t, width = _branch_offset(y, j, p)
-    if check:
-        outside = ~((0.0 <= t) & (t <= width))
-        if outside.any():
-            q = np.argmax(outside)
-            bad_y, bad_j = (np.broadcast_to(a, outside.shape).flat[q] for a in (y, j))
-            raise BranchError(f"y={bad_y} outside the image of branch {bad_j}")
-    u = p.masses[np.asarray(j) - 1] + t
+    u = p.masses[np.asarray(j) - 1] + _branch_offset(y, j, p)[0]
     return float(u) if np.ndim(u) == 0 else u
 
 
@@ -285,35 +262,8 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
             per_cluster(is_min & is_end), per_cluster(~is_min & is_end))
     )
 
-    return LayerTable(
-        values=values,
-        midpoints=midpoints,
-        index_sets=index_sets,
-        classifications=classifications,
-        value_tol_abs=float(tol_abs),
-    )
-
-
-def index_set(y: float, table: LayerTable, p: MonotonePartition) -> frozenset:
-    """Branches whose image contains y.
-
-    On the open interval between consecutive critical values the stored
-    set is returned; at a critical value itself (float-level equality,
-    not the much coarser duplicate-collapse tolerance) membership is
-    evaluated with closed bounds.  y outside [g_min, g_max] raises
-    RangeError.
-    """
-    if y < table.g_min or y > table.g_max:
-        raise RangeError(f"y={y} outside [{table.g_min}, {table.g_max}]")
-    eq_tol = 1e-12 * (table.g_max - table.g_min)
-    hits = np.abs(table.values - y) <= eq_tol
-    if hits.any():
-        b = float(table.values[int(np.argmax(hits))])
-        branches = np.arange(1, p.n_branches + 1)
-        return frozenset(branches[layer_membership(b, branches, p, strict=False)].tolist())
-    i = int(np.searchsorted(table.values, y, side="right")) - 1
-    i = min(i, len(table.index_sets) - 1)
-    return table.index_sets[i]
+    return LayerTable(values=values, index_sets=index_sets,
+                      classifications=classifications)
 
 
 def transition_check(table: LayerTable) -> bool:

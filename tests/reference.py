@@ -1,0 +1,79 @@
+"""Plain references for what the pipeline computes without naming it.
+
+The pipeline needs none of these: ``pushforward_density`` sums the curve
+mass while it fills the cells, and the layer table keeps only the index
+set of each open interval.  The tests use them to query and check those
+results from outside.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from pushfold import RangeError
+from pushfold.partition import DEFAULT_VALUE_TOL
+
+
+def closed_membership(y, j, p):
+    """True where y lies in the closed image interval of branch j
+    (1-based), endpoint images included; y and j broadcast."""
+    j = np.asarray(j)
+    lam = p.lambdas[j - 1]
+    t = (y - p.g_alphas[j - 1]) * np.sign(lam)
+    inside = (0.0 <= t) & (t <= np.abs(lam))
+    return bool(inside) if np.ndim(inside) == 0 else inside
+
+
+def index_set(y, table, p):
+    """Branches whose image contains y.
+
+    On the open interval between consecutive critical values the stored
+    set is returned; at a critical value itself (float-level equality,
+    not the much coarser duplicate-collapse tolerance) membership is
+    evaluated with closed bounds.  y outside [g_min, g_max] raises
+    RangeError.
+    """
+    if y < table.g_min or y > table.g_max:
+        raise RangeError(f"y={y} outside [{table.g_min}, {table.g_max}]")
+    eq_tol = 1e-12 * (table.g_max - table.g_min)
+    hits = np.abs(table.values - y) <= eq_tol
+    if hits.any():
+        b = float(table.values[int(np.argmax(hits))])
+        branches = np.arange(1, p.n_branches + 1)
+        return frozenset(branches[closed_membership(b, branches, p)].tolist())
+    i = int(np.searchsorted(table.values, y, side="right")) - 1
+    i = min(i, len(table.index_sets) - 1)
+    return table.index_sets[i]
+
+
+def midpoints(table):
+    """Centers of the open intervals between consecutive critical values,
+    the points build_layer_table evaluates the index sets at."""
+    return 0.5 * (table.values[:-1] + table.values[1:])
+
+
+def value_tol_abs(table, value_tol=DEFAULT_VALUE_TOL):
+    """The absolute duplicate-collapse tolerance build_layer_table used."""
+    return value_tol * (table.g_max - table.g_min)
+
+
+def total(cls):
+    """Number of preimages a BoundaryClassification counts."""
+    return sum(dataclasses.astuple(cls))
+
+
+def curve_mass(curve):
+    """Integral of the curve: per-interval cell sums, intervals added up.
+
+    Cells are uniform within an interval, so summing midpoint values
+    times the cell width equals the trapezoid rule over the points with
+    flat half-cell extensions at both interval ends.
+    """
+    if len(curve.ys) == 0:
+        raise ValueError("empty curve")
+    mass = 0.0
+    for i in np.unique(curve.interval_ids):
+        inside = curve.interval_ids == i
+        width = curve.edges[i + 1] - curve.edges[i]
+        mass += curve.mu_ys[inside].sum() * (width / inside.sum())
+    return float(mass)

@@ -11,6 +11,7 @@ the 401-point grid maps onto it (see notes on the decision record).
 import numpy as np
 import pytest
 from conftest import MC_SEED, experiment_defs, random_piecewise_cubic
+from reference import index_set, value_tol_abs
 
 from pushfold import (
     GridSpec,
@@ -22,7 +23,6 @@ from pushfold import (
     detect_extrema,
     eta_eval,
     pushforward_density,
-    index_set,
     mc_density,
     sample_map,
     transition_check,
@@ -120,7 +120,7 @@ class TestCriterion4Oscillator:
         endpoint_images = {run.part.g_alphas[0], run.part.g_alphas[-1]}
         jump_edges = {run.curve.edges[i] for i, _ in interior_jumps(run.curve)}
         assert any(
-            any(abs(b - e) <= run.table.value_tol_abs for e in endpoint_images)
+            any(abs(b - e) <= value_tol_abs(run.table) for e in endpoint_images)
             for b in jump_edges
         )
 

@@ -308,6 +308,19 @@ class TestDensityDefaults:
         assert meta_a == meta_b
 
 
+class TestMcDefaults:
+    def test_omitted_n_bins_and_seed_are_200_and_0(self, tmp_path):
+        mc = "n_samples = 1000000\nn_bins = 200\nseed = 12345\n"
+        explicit = reference_config(
+            "logistic3", [(mc, "n_samples = 100000\nn_bins = 200\nseed = 0\n")])
+        omitted = reference_config("logistic3", [(mc, "n_samples = 100000\n")])
+        for name, body in (("a", explicit), ("b", omitted)):
+            cfg = write_config(tmp_path / f"{name}.cfg", body)
+            assert run("mc", "--config", cfg, "--out", tmp_path / name) == 0
+        assert ((tmp_path / "a" / "hist.csv").read_bytes()
+                == (tmp_path / "b" / "hist.csv").read_bytes())
+
+
 class TestCsvWriter:
     """_write_csv writes each float as format(float(v), ".17g") and each
     integer as str(v), the format the artifacts have always used."""
@@ -704,3 +717,18 @@ class TestMcAndCompare:
             assert run("compare", "--config", identity_config, "--out", out) == 0
         for name in ("mu_y.csv", "hist.csv", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["partition", "unfold", "density", "mc", "compare"])
+    def test_unusable_out_is_a_usage_error(self, tmp_path, identity_config, capsys,
+                                           command, under_file):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "o" if under_file else taken
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", identity_config, "--out", out)
+        assert exc.value.code == 2
+        assert f"--out {out}: " in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"

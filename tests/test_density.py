@@ -8,6 +8,7 @@ from conftest import (
     random_piecewise_cubic,
     ripple_map,
 )
+from reference import curve_mass, index_set
 
 from pushfold import density
 from pushfold import (
@@ -24,10 +25,8 @@ from pushfold import (
     Uniform,
     build_layer_table,
     build_unfolded,
-    curve_mass,
     detect_extrema,
     pushforward_density,
-    index_set,
     sample_map,
     simpson_integral,
     u_of_y,
@@ -184,9 +183,9 @@ class TestFdfDensity:
         np.testing.assert_allclose(curve.mu_ys[smooth], run.curve.mu_ys[smooth],
                                    rtol=0.05)
 
-    def test_bad_delta(self, parabola_coarse):
-        with pytest.raises(ValueError):
-            pipeline(parabola_coarse, Uniform(alpha=-1.0, beta=1.0), delta=-1.0)
+    def test_zero_cells(self, parabola_coarse):
+        with pytest.raises(ValueError, match="need at least one cell, got 0"):
+            pipeline(parabola_coarse, Uniform(alpha=-1.0, beta=1.0), cells=0)
 
 
 def reference_pushforward(p, t, um, spec, delta, gprime=None):
@@ -299,6 +298,12 @@ class TestCurveMass:
     def test_stored_mass_matches(self, pipelines):
         for run in pipelines.values():
             assert run.curve.mass == curve_mass(run.curve)
+        # the many-branches benchmark inputs, 96 to 288 branches
+        for iterations in (7, 8, 9):
+            m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+            _, _, _, curve = pipeline(sample_map(m, GridSpec(20000)),
+                                      SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0))
+            assert curve.mass == curve_mass(curve), iterations
 
 
 class TestDegenerateDensity:
