@@ -152,9 +152,16 @@ class Experiment:
             self.delta_cells = int(pf_section.get("delta_cells", str(DEFAULT_CELLS)))
             if self.delta_cells <= 0:
                 raise ValueError("delta_cells must be positive")
-            self.jacobian = pf_section.get("jacobian", "interpolant")
-            if self.jacobian not in ("interpolant", "analytic"):
-                raise ValueError(f"unknown jacobian source {self.jacobian!r}")
+            jacobian = pf_section.get("jacobian", "interpolant")
+            if jacobian not in ("interpolant", "analytic"):
+                raise ValueError(f"unknown jacobian source {jacobian!r}")
+            # dg/dx for the analytic Jacobian, None for the interpolant
+            self.gprime = None
+            if jacobian == "analytic":
+                self.gprime = self.map_def.derivative
+                if self.gprime is None:
+                    raise ValueError(f"map kind {sections['map']['kind']!r} has no "
+                                     "analytic derivative")
         except ValueError as exc:
             raise ConfigError(f"bad [pushforward] section: {exc}") from exc
         self.mc = None
@@ -172,15 +179,6 @@ class Experiment:
             json.dumps({s: dict(sorted(v.items())) for s, v in sections.items()},
                        sort_keys=True).encode()
         ).hexdigest()[:16]
-
-    def gprime(self):
-        if self.jacobian != "analytic":
-            return None
-        if self.map_def.derivative is None:
-            raise ConfigError(
-                f"map kind {type(self.map_def).__name__} has no analytic derivative"
-            )
-        return self.map_def.derivative
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -227,8 +225,8 @@ def _run_direct_stages(exp: Experiment):
     part = detect_extrema(sm)
     table = build_layer_table(part)
     um = build_unfolded(sm, part)
-    curve = pushforward_density(sm, part, table, um, exp.density,
-                                cells=exp.delta_cells, gprime=exp.gprime())
+    curve = pushforward_density(part, table, um, exp.density,
+                                cells=exp.delta_cells, gprime=exp.gprime)
     elapsed = time.perf_counter() - t0
     return sm, part, table, um, curve, elapsed
 

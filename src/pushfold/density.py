@@ -13,12 +13,16 @@ Critical values themselves are never sampled (cell midpoints only), so
 the integrable singularities at interior extrema are represented by
 finite, grid-limited peaks.
 
-Within an interval the (point, covering branch) pairs are evaluated in
-blocks of whole points holding at most ``PAIR_BLOCK`` pairs: one
-vectorized preimage, inverse and slope call per block, then a per-point
-sum in ascending branch order.  A map with hundreds of branches thus
-costs a few array calls per interval, and the temporaries stay bounded
-by the block size whatever the grid or branch count.
+Within an interval the cells are evaluated in blocks of
+``PAIR_BLOCK // len(branches)`` (at least one): each block is a
+(covering branch x cell) grid with one row per branch in ascending
+order, evaluated by one preimage, one inverse and one slope call.  Each
+cell's terms are then added over the rows one after another, so every
+value is the sum over its branches in ascending order, whatever the
+block size.  A map with hundreds of branches thus costs a few array
+calls per interval, each branch's queries reach the inverse as one
+monotone run, and the temporaries stay bounded by the block size
+whatever the grid or branch count.
 """
 
 from __future__ import annotations
@@ -29,14 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
-from .maps import SampledMap
 from .partition import LayerTable, MonotonePartition, u_of_y
 from .unfold import UnfoldedMap, eta_derivative, eta_eval
 
 SIMPSON_PANELS = 2048
 DEFAULT_CELLS = 500
 
-# Upper bound on the (point, branch) pairs evaluated together; a point
+# Upper bound on the (branch, cell) pairs evaluated together; a cell
 # whose index set alone is larger forms a block of its own.
 PAIR_BLOCK = 4096
 
@@ -158,7 +161,6 @@ class DensityCurve:
 
 
 def pushforward_density(
-    sm: SampledMap,
     p: MonotonePartition,
     table: LayerTable,
     um: UnfoldedMap,
@@ -190,22 +192,20 @@ def pushforward_density(
         acc = np.empty(n_cells)
         per_block = max(1, PAIR_BLOCK // len(branches))
         for start in range(0, n_cells, per_block):
-            stop = min(start + per_block, n_cells)
-            # pairs point-major, branches ascending within a point, so
-            # bincount adds each point's terms in the order of a sum
-            # over its sorted index set
-            point = np.repeat(np.arange(stop - start), len(branches))
-            j = np.tile(branches, stop - start)
-            # cell midpoints next to a collapsed critical value can sit
-            # just past the image of a covering branch
-            u = u_of_y(y[start:stop][point], j, p)
+            block = slice(start, start + per_block)
+            # one row per covering branch; cell midpoints next to a
+            # collapsed critical value can sit just past its image
+            u = u_of_y(y[block], branches[:, None], p).ravel()
             x = eta_eval(um, u)
             if gprime is None:
                 jac = eta_derivative(um, u)
             else:
                 with np.errstate(divide="ignore"):
                     jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
-            acc[start:stop] = np.bincount(point, weights=spec.pdf(x) * jac)
+            # cumsum adds the rows one after another, ascending in j;
+            # sum(axis=0) may pair them up and round differently
+            terms = (spec.pdf(x) * jac).reshape(len(branches), -1)
+            acc[block] = terms.cumsum(axis=0)[-1]
         mass += acc.sum() * step
         ys_out.append(y)
         mu_out.append(acc)

@@ -153,6 +153,8 @@ class SecondOrder(MapDefinition):
         super().__post_init__()
         if self.step <= 0 or self.t_final <= 0:
             raise ValueError("step and t_final must be positive")
+        if not math.isfinite(self.t_final / self.step):
+            raise ValueError("t_final / step overflows the step count")
 
     def _eval(self, x):
         y, _ = integrate_ivp(self, np.zeros_like(x), x, self.t_final, self.step)

@@ -73,7 +73,17 @@ def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
         np.subtract(sm.ys[lo:hi + 1], p.g_alphas[j], out=seg)
         np.abs(seg, out=seg)
         np.add(seg, p.masses[j], out=seg)
-    return UnfoldedMap(knots_u=ku, knots_x=sm.xs, crease_us=p.masses[1:-1])
+    # on a grid that straddles an extremum the samples either side of it
+    # can tie, so a branch opens or closes with a zero-length step; drop
+    # the knot that is not the bound, and the segment that skips it still
+    # spans the extremum
+    bounds = p.alpha_indices[1:-1]
+    drop = np.concatenate([bounds[ku[bounds + 1] == ku[bounds]] + 1,
+                           bounds[ku[bounds - 1] == ku[bounds]] - 1])
+    kx = sm.xs
+    if len(drop):
+        ku, kx = np.delete(ku, drop), np.delete(kx, drop)
+    return UnfoldedMap(knots_u=ku, knots_x=kx, crease_us=p.masses[1:-1])
 
 
 def _checked(um: UnfoldedMap, u) -> np.ndarray:

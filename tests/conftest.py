@@ -143,7 +143,7 @@ def pipelines():
         part = detect_extrema(sm)
         table = build_layer_table(part)
         um = build_unfolded(sm, part)
-        curve = pushforward_density(sm, part, table, um, spec)
+        curve = pushforward_density(part, table, um, spec)
         out[name] = PipelineRun(sm, part, table, um, curve,
                                 time.perf_counter() - t0)
     return out

@@ -188,7 +188,7 @@ class TestCriterion7Properties:
         t = build_layer_table(p)
         um = build_unfolded(sm, p)
         spec = SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0)
-        curve = pushforward_density(sm, p, t, um, spec)
+        curve = pushforward_density(p, t, um, spec)
         direct = spec.pdf(curve.ys / 2.0) * 0.5
         rel = np.max(np.abs(curve.mu_ys - direct) / direct)
         report("7d (monotone reduction)", rel < 1e-6, f"max rel err={rel:.2e}")

@@ -135,6 +135,14 @@ class TestConfigValidation:
         assert f"{key} = {value} is not a finite number" in err
         assert not (out / "mu_y.csv").exists()
 
+    @pytest.mark.parametrize("command", ["partition", "density"])
+    def test_step_count_overflow_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "bad.cfg", reference_config(
+            "duffing", [("t_final = 5", "t_final = 1e308"), ("step = 5/300", "step = 1/8")]))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "t_final / step overflows the step count" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("lo,hi,code", [
         (0.2, 0.8, 2), (-0.5, 1.5, 2), (0.0, 0.9, 2), (0.0, 1.0, 0)])
     @pytest.mark.parametrize("command", ["density", "compare"])
@@ -291,6 +299,18 @@ class TestConfigDefects:
         err = assert_config_error(tmp_path, capsys, CONFIG_DIR / "logistic3.cfg",
                                   "--seed", -3)
         assert "bad --seed: seed must be >= 0" in err and "[mc]" not in err
+
+    @pytest.mark.parametrize("command", ["partition", "unfold", "density", "mc", "compare"])
+    @pytest.mark.parametrize("kind", ["duffing", "pendulum", "table"])
+    def test_analytic_jacobian_needs_a_derivative(self, tmp_path, capsys, kind, command):
+        cfg = variant_config(tmp_path, MAP_SECTIONS[kind], DENSITY_SECTIONS["uniform"])
+        cfg.write_text(cfg.read_text() + "[pushforward]\njacobian = analytic\n"
+                       "[mc]\nn_samples = 1000\n")
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"map kind '{kind}' has no analytic derivative" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestDensityDefaults:
@@ -645,7 +665,7 @@ class TestDensityCommand:
         p = detect_extrema(sm)
         t = build_layer_table(p)
         um = build_unfolded(sm, p)
-        curve = pushforward_density(sm, p, t, um, spec)
+        curve = pushforward_density(p, t, um, spec)
         assert np.array_equal(ys, curve.ys)
         assert np.array_equal(mu, curve.mu_ys)
         assert np.array_equal(ids, curve.interval_ids)

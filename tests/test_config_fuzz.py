@@ -37,7 +37,7 @@ DENSITY_KEYS = {
     "table": {"path": ("weights.csv",)},
 }
 FIXED_SECTIONS = {
-    "grid": {"n_div": ("4", "8", "40")},
+    "grid": {"n_div": ("4", "5", "8", "40", "41")},
     "pushforward": {"delta_cells": ("5", "40"),
                     "jacobian": ("interpolant", "analytic")},
     "mc": {"n_samples": ("500", "2000"), "n_bins": ("2", "10"),

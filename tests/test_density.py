@@ -7,6 +7,7 @@ from conftest import (
     make_sampled,
     random_piecewise_cubic,
     ripple_map,
+    traced_peak,
 )
 from reference import curve_mass, index_set
 
@@ -38,7 +39,7 @@ def pipeline(sm, spec, **kw):
     p = detect_extrema(sm)
     t = build_layer_table(p)
     um = build_unfolded(sm, p)
-    return p, t, um, pushforward_density(sm, p, t, um, spec, **kw)
+    return p, t, um, pushforward_density(p, t, um, spec, **kw)
 
 
 class TestDensitySpec:
@@ -176,8 +177,8 @@ class TestFdfDensity:
         map_def = None
         from conftest import experiment_defs
         map_def = experiment_defs()["oscillator"][0]
-        curve = pushforward_density(run.sm, run.part, run.table, run.um, spec,
-                            gprime=map_def.derivative)
+        curve = pushforward_density(run.part, run.table, run.um, spec,
+                                    gprime=map_def.derivative)
         assert curve.mass == pytest.approx(run.curve.mass, abs=0.02)
         smooth = np.abs(curve.ys - 2.5) < 0.2
         np.testing.assert_allclose(curve.mu_ys[smooth], run.curve.mu_ys[smooth],
@@ -282,6 +283,21 @@ class TestBlockedPushforward:
         blocks = [-(-n // b) for n, b in zip(np.bincount(curve.interval_ids), per_block)]
         assert len(calls) == sum(blocks)
         assert max(calls) <= max(budget, max(sizes))
+
+    @pytest.mark.parametrize("cells", [500, 5000, 50000])
+    def test_memory_is_bounded_by_the_block(self, cells):
+        # 258 branches cover the widest interval of the ninth iterate;
+        # past the output and its per-interval pieces, the temporaries
+        # are a fixed number of PAIR_BLOCK-sized float arrays
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=9)
+        sm = sample_map(m, GridSpec(20000))
+        p = detect_extrema(sm)
+        t = build_layer_table(p)
+        um = build_unfolded(sm, p)
+        spec = SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0)
+        curve, peak = traced_peak(pushforward_density, p, t, um, spec, cells)
+        output = curve.ys.nbytes + curve.mu_ys.nbytes + curve.interval_ids.nbytes
+        assert peak <= 2 * output + 16 * 8 * density.PAIR_BLOCK, (peak, output)
 
 
 class TestCurveMass:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,12 @@ from pushfold import (
     TableMap,
     UnfoldedMap,
     UnfoldError,
+    build_layer_table,
     build_unfolded,
     detect_extrema,
     eta_derivative,
     eta_eval,
+    pushforward_density,
     sample_map,
 )
 
@@ -60,6 +63,43 @@ class TestBuildUnfolded:
         p = detect_extrema(sm)  # merge fuses the flat pair into one branch
         with pytest.raises(UnfoldError):
             build_unfolded(sm, p)
+
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_tie_at_an_extremum_drops_the_knot_beside_the_bound(self, bound):
+        # the two middle samples tie at the maximum; whichever of them is
+        # the branch bound stays a knot, the other one goes
+        sm = make_sampled(np.arange(8.0), [0.0, 1.0, 2.0, 3.0, 3.0, 2.0, 1.0, 0.0])
+        p = detect_extrema(sm)
+        p = dataclasses.replace(p, alpha_indices=np.array([0, bound, 7]),
+                                alphas=sm.xs[[0, bound, 7]])
+        um = build_unfolded(sm, p)
+        kept = [i for i in range(8) if i != 7 - bound]
+        assert np.array_equal(um.knots_x, sm.xs[kept])
+        assert np.array_equal(um.knots_u, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(um.crease_us, [3.0])
+
+    @pytest.mark.parametrize("ys", [[0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0],
+                                    [4, 3, 2, 1, 0, 0, 0, 1, 2, 3, 4],
+                                    [0, 1, 2, 2, 2, 1, 0, 1, 2, 3]])
+    def test_plateau_at_an_extremum_is_rejected(self, ys):
+        # three equal samples: Y has an atom there, not a density
+        sm = make_sampled(np.linspace(0.0, 1.0, len(ys)), np.array(ys, dtype=float))
+        with pytest.raises(UnfoldError):
+            build(sm)
+
+    @pytest.mark.parametrize("name", ["parabola", "logistic2", "logistic3"])
+    def test_every_grid_size_runs(self, name):
+        # odd grids straddle the extremum of parabola and logistic, and
+        # the samples either side of it can tie
+        defs = experiment_defs()
+        m, spec, _ = defs["parabola" if name == "parabola" else "logistic"]
+        if name == "logistic2":
+            m = dataclasses.replace(m, iterations=2)
+        for n_div in [*range(200, 2200), 10211]:
+            sm = sample_map(m, GridSpec(n_div))
+            p, um = build(sm)
+            curve = pushforward_density(p, build_layer_table(p), um, spec)
+            assert 0.97 <= curve.mass <= 1.03, n_div
 
     @pytest.mark.parametrize("knots_u", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
     def test_constructor_rejects_knots_not_strictly_increasing(self, knots_u):
