@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands chain the pipeline stages (sample -> partition -> unfold ->
+Commands chain the pipeline stages (sample -> partition -> unfold ->
 density, plus the Monte Carlo baseline and curve-vs-histogram metrics)
 and persist every artifact as CSV/JSON.  Experiments are described by a
 flat key-section config file; see README for the format and the five
 checked-in experiment configs.
+
+One argument parser serves every command: the command name is a
+positional argument and the four options (--config, --out, --seed,
+--threads) are shared, so they may come before or after it.
+``partition``, ``unfold`` and ``density`` ignore --seed and --threads.
 
 Exit codes: 0 success, 2 config or usage error, 3 degenerate input, 4 numerical
 failure.
@@ -327,15 +332,16 @@ def main(argv=None) -> int:
         prog="pushfold",
         description="Pushforward densities of piecewise-monotone maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("partition", "unfold", "density", "mc", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the Monte Carlo seed from the config")
-        p.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
-                       help="worker cap for the Monte Carlo pushforward")
+    parser.add_argument("command", help="pipeline stage to run",
+                        choices=("partition", "unfold", "density", "mc", "compare"))
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the Monte Carlo seed from the config "
+                             "(mc and compare only)")
+    parser.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
+                        help="worker cap for the Monte Carlo pushforward "
+                             "(mc and compare only)")
     args = parser.parse_args(argv)
 
     try:

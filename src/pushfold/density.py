@@ -41,7 +41,7 @@ DEFAULT_CELLS = 500
 
 # Upper bound on the (branch, cell) pairs evaluated together; a cell
 # whose index set alone is larger forms a block of its own.
-PAIR_BLOCK = 4096
+PAIR_BLOCK = 8192
 
 
 def simpson_integral(f, a: float, b: float) -> float:

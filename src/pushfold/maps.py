@@ -30,6 +30,10 @@ from .errors import DivergenceError
 # floating-point division noise.
 _STEP_COUNT_SLACK = 1e-9
 
+# Most RK4 steps one integration may take; the reference configs take
+# 200-300, and a huge t_final / step would otherwise run without end.
+MAX_RK4_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -153,8 +157,7 @@ class SecondOrder(MapDefinition):
         super().__post_init__()
         if self.step <= 0 or self.t_final <= 0:
             raise ValueError("step and t_final must be positive")
-        if not math.isfinite(self.t_final / self.step):
-            raise ValueError("t_final / step overflows the step count")
+        step_count(self.t_final, self.step)  # raises past MAX_RK4_STEPS
 
     def _eval(self, x):
         y, _ = integrate_ivp(self, np.zeros_like(x), x, self.t_final, self.step)
@@ -225,8 +228,16 @@ def table_from_csv(path) -> TableMap:
 
 def step_count(t_final: float, step: float) -> int:
     """Number of equal RK4 steps: ceil(t_final/step) with slack so that
-    an exact division is not inflated by float noise."""
-    return max(1, math.ceil(t_final / step - _STEP_COUNT_SLACK))
+    an exact division is not inflated by float noise.
+
+    Raises ValueError when that is more than MAX_RK4_STEPS, or when
+    t_final / step is not a number.
+    """
+    ratio = t_final / step
+    if not ratio - _STEP_COUNT_SLACK <= MAX_RK4_STEPS:
+        raise ValueError(f"t_final / step overflows the step count: {ratio!r} "
+                         f"is more than {MAX_RK4_STEPS} RK4 steps")
+    return max(1, math.ceil(ratio - _STEP_COUNT_SLACK))
 
 
 def integrate_ivp(system, y0, v0, t_final: float, step: float):

@@ -88,13 +88,23 @@ def build_unfolded(sm: SampledMap, p: MonotonePartition) -> UnfoldedMap:
 
 def _checked(um: UnfoldedMap, u) -> np.ndarray:
     """Queries as a float array, range-checked and clipped to
-    [0, total_variation]."""
+    [0, total_variation].
+
+    One pass each for the smallest and largest query; fmin and fmax skip
+    NaN, which passes through as NaN.  In-range queries come back as the
+    array given, not a copy.
+    """
     ua = np.atleast_1d(np.asarray(u, dtype=float))
+    if not ua.size:
+        return ua
     top = um.total_variation
     slack = _END_SLACK * top
-    if (ua < -slack).any() or (ua > top + slack).any():
+    lo, hi = np.fmin.reduce(ua, axis=None), np.fmax.reduce(ua, axis=None)
+    if lo < -slack or hi > top + slack:
         raise RangeError(f"u outside [0, {top}]")
-    return np.clip(ua, 0.0, top)
+    if lo < 0.0 or hi > top:
+        return np.clip(ua, 0.0, top)
+    return ua
 
 
 def eta_eval(um: UnfoldedMap, u):
@@ -115,6 +125,10 @@ def eta_derivative(um: UnfoldedMap, u):
     """
     ua = _checked(um, u)
     ku, kx = um.knots_u, um.knots_x
-    idx = np.clip(np.searchsorted(ku, ua, side="right") - 1, 0, len(ku) - 2)
-    slope = (kx[idx + 1] - kx[idx]) / (ku[idx + 1] - ku[idx])
+    idx = np.searchsorted(ku, ua, side="right")
+    idx -= 1
+    np.clip(idx, 0, len(ku) - 2, out=idx)
+    x0, u0 = kx[idx], ku[idx]
+    idx += 1
+    slope = (kx[idx] - x0) / (ku[idx] - u0)
     return float(slope[0]) if np.isscalar(u) else slope

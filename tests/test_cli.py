@@ -143,6 +143,21 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "t_final / step overflows the step count" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind,t_final,step,n_div", [
+        ("duffing", "5", "5/300", "300"), ("pendulum", "18", "18/200", "200")],
+        ids=["duffing", "pendulum"])
+    @pytest.mark.parametrize("command", ["partition", "density"])
+    def test_step_count_past_the_cap_is_a_config_error(self, tmp_path, capsys, command,
+                                                       kind, t_final, step, n_div):
+        # finite, but 10^300 RK4 steps would never finish
+        cfg = write_config(tmp_path / "long.cfg", reference_config(kind, [
+            (f"t_final = {t_final}", "t_final = 1e300"), (f"step = {step}", "step = 1"),
+            (f"n_div = {n_div}", "n_div = 4")]))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert ("t_final / step overflows the step count: 1e+300 is more than "
+                "1000000 RK4 steps") in err and "Traceback" not in err
+
     @pytest.mark.parametrize("lo,hi,code", [
         (0.2, 0.8, 2), (-0.5, 1.5, 2), (0.0, 0.9, 2), (0.0, 1.0, 0)])
     @pytest.mark.parametrize("command", ["density", "compare"])
@@ -737,6 +752,46 @@ class TestMcAndCompare:
             assert run("compare", "--config", identity_config, "--out", out) == 0
         for name in ("mu_y.csv", "hist.csv", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+COMMANDS = ["partition", "unfold", "density", "mc", "compare"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "-h")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: pushfold") and "--threads" in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_may_precede_the_command(self, tmp_path, identity_config, command):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(command, "--config", identity_config, "--out", a,
+                   "--seed", 7, "--threads", 1) == 0
+        assert run("--config", identity_config, "--seed", 7, "--threads", 1,
+                   "--out", b, command) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        for name in names:
+            if name != "timings.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["--config", "x.cfg", "--out", "OUT"], "the following arguments are required: command"),
+        (["plot", "--config", "x.cfg", "--out", "OUT"], "argument command: invalid choice: 'plot'"),
+    ], ids=["nothing", "no-command", "unknown"])
+    def test_missing_or_unknown_command_is_a_usage_error(self, tmp_path, capsys,
+                                                         argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(*(tmp_path / "o" if a == "OUT" else a for a in argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pushfold") and message in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOutDirectory:

@@ -15,7 +15,7 @@ from pushfold import (
     integrate_ivp,
     sample_map,
 )
-from pushfold.maps import step_count
+from pushfold.maps import MAX_RK4_STEPS, step_count
 
 
 def logistic(rate, iterations):
@@ -127,6 +127,12 @@ class TestIntegrateIvp:
         assert step_count(1.0, 0.1) == 10  # 1/0.1 = 10.000000000000002
         assert step_count(1.0, 0.3) == 4
         assert step_count(0.05, 1.0) == 1
+
+    def test_step_count_cap(self):
+        assert step_count(1e6, 1.0) == MAX_RK4_STEPS == 10**6
+        for t_final in (1e6 + 1.0, 1e300, np.inf, np.nan):
+            with pytest.raises(ValueError, match="overflows the step count"):
+                step_count(t_final, 1.0)
 
     def test_deterministic(self):
         sys = Pendulum(alpha=0.0, beta=2.0, t_final=18.0, step=0.09)

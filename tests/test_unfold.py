@@ -219,6 +219,70 @@ class TestEtaEval:
         assert 1.7 < errors[1] / errors[2] < 2.6
 
 
+class TestQueryCheck:
+    """The range check that eta_eval and eta_derivative share."""
+
+    @pytest.fixture
+    def um(self):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3)
+        return build(sample_map(m, GridSpec(400)))[1]
+
+    def test_in_range_queries_are_not_copied(self, um):
+        u = np.linspace(0.0, um.total_variation, 100_000)
+        checked, peak = traced_peak(unfold._checked, um, u)
+        assert checked is u
+        assert peak < u.nbytes // 10, peak
+        # eta_eval adds only its result
+        x, peak = traced_peak(eta_eval, um, u)
+        assert peak < x.nbytes + u.nbytes // 10, peak
+        # one query inside the slack costs eta_derivative the clipped
+        # copy, which in-range queries do not make
+        edge = u.copy()
+        edge[-1] += 0.5 * unfold._END_SLACK * um.total_variation
+        _, peak_in = traced_peak(eta_derivative, um, u)
+        _, peak_edge = traced_peak(eta_derivative, um, edge)
+        assert peak_edge - peak_in > 0.9 * u.nbytes, (peak_in, peak_edge)
+
+    @pytest.mark.parametrize("fn", [eta_eval, eta_derivative])
+    def test_empty_queries_give_an_empty_array(self, um, fn):
+        out = fn(um, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("fn", [eta_eval, eta_derivative])
+    def test_queries_at_the_slack_are_clipped_one_ulp_beyond_raise(self, um, fn):
+        top = um.total_variation
+        slack = unfold._END_SLACK * top
+        for edge, end, outward in ((-slack, 0.0, -np.inf), (top + slack, top, np.inf)):
+            assert fn(um, edge) == fn(um, end)
+            assert np.array_equal(fn(um, np.array([0.5 * top, edge])),
+                                  fn(um, np.array([0.5 * top, end])))
+            with pytest.raises(RangeError):
+                fn(um, np.nextafter(edge, outward))
+            with pytest.raises(RangeError):
+                fn(um, np.array([0.5 * top, np.nextafter(edge, outward)]))
+
+    def test_nan_queries(self, um):
+        top = um.total_variation
+        mid = 0.5 * top
+        assert np.isnan(eta_eval(um, np.nan))
+        x = eta_eval(um, np.array([np.nan, mid]))
+        assert np.isnan(x[0]) and x[1] == eta_eval(um, mid)
+        assert np.isnan(eta_eval(um, np.array([np.nan, np.nan]))).all()
+        # searchsorted places NaN past the top knot: the last segment
+        last = eta_derivative(um, top)
+        assert eta_derivative(um, np.nan) == last
+        assert np.array_equal(eta_derivative(um, np.array([np.nan, mid])),
+                              [last, eta_derivative(um, mid)])
+        assert np.array_equal(eta_derivative(um, np.array([np.nan, np.nan])),
+                              [last, last])
+        # a NaN does not hide a query out of range
+        for fn in (eta_eval, eta_derivative):
+            with pytest.raises(RangeError):
+                fn(um, np.array([np.nan, -1.0]))
+            with pytest.raises(RangeError):
+                fn(um, np.array([top + 1.0, np.nan]))
+
+
 class TestEtaDerivative:
     def test_identity_slope(self, identity_map):
         _, um = build(identity_map)
