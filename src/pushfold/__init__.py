@@ -53,7 +53,7 @@ from .oracle import (
     mc_density,
 )
 from .partition import (
-    BoundaryClassification,
+    PREIMAGE_KINDS,
     LayerTable,
     MonotonePartition,
     build_layer_table,

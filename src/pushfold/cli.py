@@ -26,6 +26,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .csvfmt import write_rows
 from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_density
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .maps import MAP_KINDS, GridSpec, sample_map, table_from_csv
 from .oracle import McConfig, compare, mc_density
-from .partition import build_layer_table, detect_extrema
+from .partition import PREIMAGE_KINDS, build_layer_table, detect_extrema
 from .unfold import build_unfolded
 
 _FLOAT_FMT = ".17g"
@@ -209,17 +211,9 @@ def _partition_payload(part, table) -> dict:
         "lambdas": part.lambdas.tolist(),
         "ms": part.masses.tolist(),
         "b": table.values.tolist(),
-        "index_sets": [sorted(s) for s in table.index_sets],
-        "classifications": [
-            {
-                "interior_minima": c.interior_minima,
-                "interior_maxima": c.interior_maxima,
-                "regular": c.regular,
-                "endpoint_minima": c.endpoint_minima,
-                "endpoint_maxima": c.endpoint_maxima,
-            }
-            for c in table.classifications
-        ],
+        "index_sets": [(np.flatnonzero(row) + 1).tolist() for row in table.covering],
+        "classifications": [dict(zip(PREIMAGE_KINDS, row))
+                            for row in table.counts.tolist()],
     }
 
 

@@ -188,7 +188,7 @@ def pushforward_density(
         n_cells = max(1, int(round((hi - lo) / delta)))
         step = (hi - lo) / n_cells
         y = lo + (np.arange(n_cells) + 0.5) * step
-        branches = np.array(sorted(table.index_sets[i]))
+        branches = np.flatnonzero(table.covering[i]) + 1
         acc = np.empty(n_cells)
         per_block = max(1, PAIR_BLOCK // len(branches))
         for start in range(0, n_cells, per_block):

@@ -9,14 +9,14 @@ boundaries, the signed image increments of each branch, and their
 cumulative absolute sums (the coordinates of the unfolded range).
 
 ``build_layer_table`` then organizes the branch-boundary images into the
-sorted set of critical values, the index set of branches covering each
-open interval between consecutive critical values, and a classification
-of every boundary point (interior minimum/maximum, regular crossing,
-endpoint minimum/maximum).  ``transition_check`` verifies the
-combinatorial count relations that tie adjacent intervals together
-across each critical value.
+sorted set of critical values, a mask of the branches covering each
+open interval between consecutive critical values, and the preimage
+counts of every critical value by type (``PREIMAGE_KINDS``).
+``transition_check`` verifies the combinatorial count relations that tie
+adjacent intervals together across each critical value.
 
-Branch indices are 1-based throughout, matching the layer-table sets.
+Branch indices are 1-based throughout; column j-1 of the covering mask
+stands for branch j.
 """
 
 from __future__ import annotations
@@ -77,33 +77,29 @@ class MonotonePartition:
         return float(self.masses[-1])
 
 
-@dataclass(frozen=True)
-class BoundaryClassification:
-    """Counts of preimage types of one critical value."""
-
-    interior_minima: int = 0
-    interior_maxima: int = 0
-    regular: int = 0
-    endpoint_minima: int = 0
-    endpoint_maxima: int = 0
+# The preimage types of a critical value: the columns of LayerTable.counts.
+PREIMAGE_KINDS = ("interior_minima", "interior_maxima", "regular",
+                  "endpoint_minima", "endpoint_maxima")
 
 
 @dataclass(frozen=True, eq=False)
 class LayerTable:
-    """Sorted critical values with per-interval branch index sets.
+    """Sorted critical values with the branches covering each interval.
 
     values[i] is the i-th critical value (values[0] = g_min,
-    values[-1] = g_max); index_sets[i] the 1-based branches whose image
-    covers the open interval (values[i], values[i+1]); classifications[i]
-    the preimage classification of values[i].
+    values[-1] = g_max); covering[i, j-1] is True where branch j covers
+    the open interval (values[i], values[i+1]), so row i is that
+    interval's index set; counts[i] counts the preimages of values[i] by
+    type, one column per entry of PREIMAGE_KINDS.
     """
 
     values: np.ndarray
-    index_sets: tuple
-    classifications: tuple
+    covering: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        for arr in (self.values, self.covering, self.counts):
+            arr.setflags(write=False)
 
     @property
     def g_min(self) -> float:
@@ -199,8 +195,8 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     Boundary images within value_tol * (g_max - g_min) of each other
     collapse into a single critical value (its representative is the
     cluster mean, except that the extreme clusters keep the exact
-    sampled g_min / g_max).  Index sets are evaluated once per interval
-    at its midpoint; by constancy of the covering branches on each open
+    sampled g_min / g_max).  The covering mask is evaluated once per
+    interval at its midpoint; by constancy of the covering branches on each open
     interval this determines them everywhere.
     """
     ga = p.g_alphas
@@ -238,7 +234,6 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
         raise TableConstructionError(
             f"no branch covers the interval around {midpoints[np.argmax(uncovered)]}"
         )
-    index_sets = tuple(frozenset(branches[row].tolist()) for row in covering)
 
     # Partition point j is a minimum when the map falls into it (or, at
     # the left end, rises out of it).
@@ -247,7 +242,7 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     is_end[[0, -1]] = True
 
     def per_cluster(mask):
-        return np.bincount(member_of[mask], minlength=len(values)).tolist()
+        return np.bincount(member_of[mask], minlength=len(values))
 
     # Regular preimages live in branches not bounded by a member of a
     # cluster; in a bounded branch the cluster value is the critical
@@ -255,15 +250,11 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     cluster = np.arange(len(values))[:, None]
     bounded = (member_of[:-1] == cluster) | (member_of[1:] == cluster)
     inside = layer_membership(values[:, None], branches, p)
-    classifications = tuple(
-        BoundaryClassification(*counts) for counts in zip(
-            per_cluster(is_min & ~is_end), per_cluster(~is_min & ~is_end),
-            (inside & ~bounded).sum(axis=1).tolist(),
-            per_cluster(is_min & is_end), per_cluster(~is_min & is_end))
-    )
-
-    return LayerTable(values=values, index_sets=index_sets,
-                      classifications=classifications)
+    counts = np.column_stack([
+        per_cluster(is_min & ~is_end), per_cluster(~is_min & ~is_end),
+        (inside & ~bounded).sum(axis=1),
+        per_cluster(is_min & is_end), per_cluster(~is_min & is_end)])
+    return LayerTable(values=values, covering=covering, counts=counts)
 
 
 def transition_check(table: LayerTable) -> bool:
@@ -276,13 +267,8 @@ def transition_check(table: LayerTable) -> bool:
     Equivalently the count changes by 2*(interior minima - interior
     maxima) + endpoint one-sided contributions on the way up.
     """
-    ell = len(table.values) - 1
-    for i in range(ell + 1):
-        cls = table.classifications[i]
-        below = len(table.index_sets[i - 1]) if i >= 1 else 0
-        above = len(table.index_sets[i]) if i <= ell - 1 else 0
-        if above != cls.regular + 2 * cls.interior_minima + cls.endpoint_minima:
-            return False
-        if below != cls.regular + 2 * cls.interior_maxima + cls.endpoint_maxima:
-            return False
-    return True
+    sizes = table.covering.sum(axis=1)
+    above, below = np.append(sizes, 0), np.insert(sizes, 0, 0)
+    imin, imax, regular, emin, emax = table.counts.T
+    return (np.array_equal(above, regular + 2 * imin + emin)
+            and np.array_equal(below, regular + 2 * imax + emax))

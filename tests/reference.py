@@ -1,9 +1,10 @@
 """Plain references for what the pipeline computes without naming it.
 
 The pipeline needs none of these: ``pushforward_density`` sums the curve
-mass while it fills the cells, and the layer table keeps only the index
-set of each open interval.  The tests use them to query and check those
-results from outside.
+mass while it fills the cells, and the layer table keeps only the
+covering mask of each open interval and the preimage counts of each
+critical value as arrays.  The tests use them to query and check those
+results from outside, as sets and records.
 """
 
 import dataclasses
@@ -11,7 +12,30 @@ import dataclasses
 import numpy as np
 
 from pushfold import RangeError
-from pushfold.partition import DEFAULT_VALUE_TOL
+from pushfold.partition import DEFAULT_VALUE_TOL, PREIMAGE_KINDS
+
+
+@dataclasses.dataclass(frozen=True)
+class BoundaryClassification:
+    """Counts of preimage types of one critical value."""
+
+    interior_minima: int = 0
+    interior_maxima: int = 0
+    regular: int = 0
+    endpoint_minima: int = 0
+    endpoint_maxima: int = 0
+
+
+def index_sets(table):
+    """The 1-based branches covering each open interval, as frozensets."""
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist())
+                 for row in table.covering)
+
+
+def classifications(table):
+    """The preimage counts of each critical value, as records."""
+    return tuple(BoundaryClassification(**dict(zip(PREIMAGE_KINDS, row)))
+                 for row in table.counts.tolist())
 
 
 def closed_membership(y, j, p):
@@ -42,8 +66,8 @@ def index_set(y, table, p):
         branches = np.arange(1, p.n_branches + 1)
         return frozenset(branches[closed_membership(b, branches, p)].tolist())
     i = int(np.searchsorted(table.values, y, side="right")) - 1
-    i = min(i, len(table.index_sets) - 1)
-    return table.index_sets[i]
+    i = min(i, len(table.covering) - 1)
+    return index_sets(table)[i]
 
 
 def midpoints(table):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pushfold import csvfmt
 from pushfold.cli import _write_csv, main
+from pushfold.partition import PREIMAGE_KINDS
 
 
 def run(*argv):
@@ -628,6 +629,17 @@ class TestPartitionCommand:
                    "--out", tmp_path) == 0
         payload = json.loads((tmp_path / "partition.json").read_text())
         assert len(payload["b"]) == 5
+
+    @pytest.mark.parametrize("name", ["duffing", "logistic3", "oscillator",
+                                      "parabola", "pendulum"])
+    def test_classifications_name_the_preimage_kinds(self, tmp_path, name):
+        assert run("partition", "--config", CONFIG_DIR / f"{name}.cfg",
+                   "--out", tmp_path) == 0
+        payload = json.loads((tmp_path / "partition.json").read_text())
+        assert len(payload["classifications"]) == len(payload["b"])
+        for cls in payload["classifications"]:
+            assert sorted(cls) == sorted(PREIMAGE_KINDS)
+            assert all(type(v) is int for v in cls.values())
 
 
 class TestDensityCommand:

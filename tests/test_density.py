@@ -9,7 +9,7 @@ from conftest import (
     ripple_map,
     traced_peak,
 )
-from reference import curve_mass, index_set
+from reference import curve_mass, index_set, index_sets
 
 from pushfold import density
 from pushfold import (
@@ -147,7 +147,7 @@ class TestFdfDensity:
         for q in rng.integers(0, len(curve.ys), size=12):
             y = float(curve.ys[q])
             branches = index_set(y, t, p)
-            assert branches == t.index_sets[curve.interval_ids[q]]
+            assert branches == index_sets(t)[curve.interval_ids[q]]
             total = 0.0
             for j in branches:
                 u = u_of_y(y, j, p)
@@ -198,7 +198,7 @@ def reference_pushforward(p, t, um, spec, delta, gprime=None):
         n_cells = max(1, int(round((hi - lo) / delta)))
         y = lo + (np.arange(n_cells) + 0.5) * ((hi - lo) / n_cells)
         acc = np.zeros(n_cells)
-        for j in sorted(t.index_sets[i]):
+        for j in sorted(index_sets(t)[i]):
             sign = np.sign(p.lambdas[j - 1])
             u = p.masses[j - 1] + (y - p.g_alphas[j - 1]) * sign
             x = eta_eval(um, u)
@@ -277,7 +277,7 @@ class TestBlockedPushforward:
                         GridSpec(400))
         t, curve = assert_matches_reference(
             sm, SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0))
-        sizes = [len(s) for s in t.index_sets]
+        sizes = [len(s) for s in index_sets(t)]
         assert sizes == [2, 6, 8]
         per_block = [max(1, budget // k) for k in sizes]
         blocks = [-(-n // b) for n, b in zip(np.bincount(curve.interval_ids), per_block)]

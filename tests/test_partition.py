@@ -12,11 +12,19 @@ from conftest import (
     ripple_map,
     traced_peak,
 )
-from reference import closed_membership, index_set, midpoints, total, value_tol_abs
+from reference import (
+    BoundaryClassification,
+    classifications,
+    closed_membership,
+    index_set,
+    index_sets,
+    midpoints,
+    total,
+    value_tol_abs,
+)
 
 from pushfold import partition
 from pushfold import (
-    BoundaryClassification,
     BranchError,
     DegenerateInputError,
     GridSpec,
@@ -363,13 +371,13 @@ class TestLayerTable:
         t = build_layer_table(p)
         assert np.array_equal(t.values, [0.0, 1.0])
         assert np.array_equal(midpoints(t), [0.5])
-        assert t.index_sets == (frozenset({1, 2}),)
+        assert index_sets(t) == (frozenset({1, 2}),)
 
     def test_monotone_identity(self, identity_map):
         p = detect_extrema(identity_map)
         t = build_layer_table(p)
         assert np.array_equal(t.values, [0.0, 1.0])
-        assert t.index_sets == (frozenset({1}),)
+        assert index_sets(t) == (frozenset({1}),)
 
     def test_extreme_values_are_sampled_range(self):
         sm = ripple_map()
@@ -432,13 +440,13 @@ def reference_layer_table(p, value_tol=partition.DEFAULT_VALUE_TOL):
                 f"branch {j + 1} spans less than the duplicate-collapse "
                 f"tolerance {tol_abs:g}; lower value_tol or merge the branch")
     midpoints = 0.5 * (values[:-1] + values[1:])
-    index_sets = []
+    sets = []
     for c in midpoints:
         covering = frozenset(j for j in range(1, k + 1) if inside(float(c), j))
         if not covering:
             raise TableConstructionError(f"no branch covers the interval around {c}")
-        index_sets.append(covering)
-    classifications = []
+        sets.append(covering)
+    records = []
     for ci in range(len(values)):
         counts = dict.fromkeys(("interior_minima", "interior_maxima",
                                 "endpoint_minima", "endpoint_maxima"), 0)
@@ -454,8 +462,8 @@ def reference_layer_table(p, value_tol=partition.DEFAULT_VALUE_TOL):
         regular = sum(1 for j in range(1, k + 1)
                       if member_of[j - 1] != ci and member_of[j] != ci
                       and inside(float(values[ci]), j))
-        classifications.append(BoundaryClassification(regular=regular, **counts))
-    return values, midpoints, tuple(index_sets), tuple(classifications), tol_abs
+        records.append(BoundaryClassification(regular=regular, **counts))
+    return values, midpoints, tuple(sets), tuple(records), tol_abs
 
 
 def assert_table_matches_reference(p, value_tol=partition.DEFAULT_VALUE_TOL):
@@ -466,12 +474,12 @@ def assert_table_matches_reference(p, value_tol=partition.DEFAULT_VALUE_TOL):
             build_layer_table(p, value_tol)
         return False
     t = build_layer_table(p, value_tol)
-    values, mids, index_sets, classifications, tol_abs = expected
+    values, mids, sets, records, tol_abs = expected
     assert t.values.tobytes() == values.tobytes()
     assert midpoints(t).tobytes() == mids.tobytes()
-    assert t.index_sets == index_sets
-    assert t.classifications == classifications
-    for c in t.classifications:
+    assert index_sets(t) == sets
+    assert classifications(t) == records
+    for c in classifications(t):
         assert all(type(v) is int for v in dataclasses.astuple(c))
     assert value_tol_abs(t, value_tol) == tol_abs
     return True
@@ -540,7 +548,7 @@ class TestIndexSet:
                 if lo >= hi:
                     continue
                 for y in rng.uniform(lo, hi, size=10):
-                    assert index_set(float(y), t, p) == t.index_sets[i]
+                    assert index_set(float(y), t, p) == index_sets(t)[i]
 
 
 class TestTransitionCheck:
@@ -560,11 +568,11 @@ class TestTransitionCheck:
         p = detect_extrema(ripple_map())
         t = build_layer_table(p)
         i = int(np.argmin(np.abs(t.values - 6.5687)))
-        cls = t.classifications[i]
+        cls = classifications(t)[i]
         assert cls.interior_minima == 1 and cls.regular == 1
-        assert len(t.index_sets[i - 1]) == 1
+        assert len(index_sets(t)[i - 1]) == 1
         assert total(cls) == 2
-        assert len(t.index_sets[i]) == 3
+        assert len(index_sets(t)[i]) == 3
 
     def test_random_maps(self):
         rng = np.random.default_rng(99)
@@ -592,6 +600,87 @@ class TestTransitionCheck:
         bad = dataclasses.replace(
             t,
             values=t.values.copy(),
-            index_sets=(frozenset({1}),),
+            covering=np.array([[True]]),
         )
         assert not transition_check(bad)
+
+
+def reference_transition_check(table):
+    """Oracle for transition_check: both count relations at each critical
+    value in turn, from the index sets and the classification records."""
+    sets, records = index_sets(table), classifications(table)
+    ell = len(table.values) - 1
+    for i in range(ell + 1):
+        cls = records[i]
+        below = len(sets[i - 1]) if i >= 1 else 0
+        above = len(sets[i]) if i <= ell - 1 else 0
+        if above != cls.regular + 2 * cls.interior_minima + cls.endpoint_minima:
+            return False
+        if below != cls.regular + 2 * cls.interior_maxima + cls.endpoint_maxima:
+            return False
+    return True
+
+
+def assert_check_matches_reference(t):
+    verdict = transition_check(t)
+    assert type(verdict) is bool
+    assert verdict == reference_transition_check(t)
+    return verdict
+
+
+class TestTransitionCheckMatchesReference:
+    @pytest.mark.parametrize("name", sorted(experiment_defs()))
+    def test_reference_experiments(self, name):
+        map_def, _, grid = experiment_defs()[name]
+        t = build_layer_table(detect_extrema(sample_map(map_def, grid)))
+        assert assert_check_matches_reference(t)
+
+    @pytest.mark.parametrize("iterations", [5, 6, 7, 8, 9])
+    def test_logistic_iterations(self, iterations):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        verdicts = [assert_check_matches_reference(
+            build_layer_table(detect_extrema(sample_map(m, GridSpec(n_div)))))
+            for n_div in (2000, 20000)]
+        # the sampled critical values of the eighth and ninth iterates
+        # break the counting rule at 2*10^4 subdivisions
+        assert verdicts[1] == (iterations < 8)
+
+    def test_ripple_and_random_cubics(self):
+        assert assert_check_matches_reference(build_layer_table(detect_extrema(ripple_map())))
+        rng = np.random.default_rng(99)
+        for _ in range(25):
+            p = detect_extrema(random_piecewise_cubic(rng))
+            assert assert_check_matches_reference(build_layer_table(p, value_tol=1e-9))
+
+    @pytest.mark.parametrize("kind", ["endpoint_minima", "endpoint_maxima"])
+    @pytest.mark.parametrize("where", ["first", "interior", "last"])
+    def test_corrupted_counts(self, kind, where):
+        # one extra endpoint minimum breaks only the relation above the
+        # critical value, one extra endpoint maximum only the one below
+        t = build_layer_table(detect_extrema(ripple_map()))
+        i = {"first": 0, "interior": len(t.values) // 2, "last": len(t.values) - 1}[where]
+        counts = t.counts.copy()
+        counts[i, partition.PREIMAGE_KINDS.index(kind)] += 1
+        bad = dataclasses.replace(t, counts=counts)
+        assert not assert_check_matches_reference(bad)
+
+    @pytest.mark.parametrize("where", ["first", "interior", "last"])
+    def test_corrupted_covering(self, where):
+        # a branch dropped from interval i changes the count above
+        # critical value i and below critical value i + 1
+        t = build_layer_table(detect_extrema(ripple_map()))
+        i = {"first": 0, "interior": len(t.covering) // 2, "last": len(t.covering) - 1}[where]
+        covering = t.covering.copy()
+        covering[i, np.flatnonzero(covering[i])[0]] = False
+        bad = dataclasses.replace(t, covering=covering)
+        assert not assert_check_matches_reference(bad)
+
+
+def test_layer_table_arrays_are_read_only(parabola_coarse):
+    t = build_layer_table(detect_extrema(parabola_coarse))
+    assert t.covering.dtype == bool
+    assert t.covering.shape == (len(t.values) - 1, 2)
+    assert t.counts.shape == (len(t.values), len(partition.PREIMAGE_KINDS))
+    for arr in (t.values, t.covering, t.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
