@@ -11,8 +11,8 @@ positional argument and the four options (--config, --out, --seed,
 --threads) are shared, so they may come before or after it.
 ``partition``, ``unfold`` and ``density`` ignore --seed and --threads.
 
-Exit codes: 0 success, 2 config or usage error, 3 degenerate input, 4 numerical
-failure.
+Exit codes: 0 success, 2 config or usage error (an array too large for
+memory included), 3 degenerate input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -356,6 +356,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print("usage: pushfold <command> --config FILE --out DIR", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the config's sizes need more memory than there is: {exc}",
+              file=sys.stderr)
         return 2
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

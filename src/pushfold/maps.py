@@ -30,9 +30,10 @@ from .errors import DivergenceError
 # floating-point division noise.
 _STEP_COUNT_SLACK = 1e-9
 
-# Most RK4 steps one integration may take; the reference configs take
-# 200-300, and a huge t_final / step would otherwise run without end.
-MAX_RK4_STEPS = 10**6
+# Most steps one map evaluation may take: RK4 steps of an integration
+# (the reference configs take 200-300) or logistic iterations.  A huge
+# t_final / step or iteration count would otherwise run without end.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class SampledMap:
 
     xs: np.ndarray
     ys: np.ndarray
-    alpha: float
-    beta: float
     g_min: float
     g_max: float
 
@@ -62,10 +61,6 @@ class SampledMap:
         # xs stays writable: UnfoldedMap shares it as knots_x, and
         # np.interp copies a read-only argument on every call
         self.ys.setflags(write=False)
-
-    @property
-    def n_div(self) -> int:
-        return len(self.xs) - 1
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,8 @@ class Logistic(MapDefinition):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_STEPS:
+            raise ValueError(f"iterations must lie in 1..{MAX_STEPS}, got {self.iterations}")
         if not 0.0 < self.rate <= 4.0:
             raise ValueError("rate must lie in (0, 4]")
         if self.alpha < 0.0 or self.beta > 1.0:
@@ -157,7 +152,7 @@ class SecondOrder(MapDefinition):
         super().__post_init__()
         if self.step <= 0 or self.t_final <= 0:
             raise ValueError("step and t_final must be positive")
-        step_count(self.t_final, self.step)  # raises past MAX_RK4_STEPS
+        step_count(self.t_final, self.step)  # raises past MAX_STEPS
 
     def _eval(self, x):
         y, _ = integrate_ivp(self, np.zeros_like(x), x, self.t_final, self.step)
@@ -230,13 +225,13 @@ def step_count(t_final: float, step: float) -> int:
     """Number of equal RK4 steps: ceil(t_final/step) with slack so that
     an exact division is not inflated by float noise.
 
-    Raises ValueError when that is more than MAX_RK4_STEPS, or when
+    Raises ValueError when that is more than MAX_STEPS, or when
     t_final / step is not a number.
     """
     ratio = t_final / step
-    if not ratio - _STEP_COUNT_SLACK <= MAX_RK4_STEPS:
+    if not ratio - _STEP_COUNT_SLACK <= MAX_STEPS:
         raise ValueError(f"t_final / step overflows the step count: {ratio!r} "
-                         f"is more than {MAX_RK4_STEPS} RK4 steps")
+                         f"is more than {MAX_STEPS} RK4 steps")
     return max(1, math.ceil(ratio - _STEP_COUNT_SLACK))
 
 
@@ -329,8 +324,6 @@ def sample_map(map_def: MapDefinition, grid: GridSpec) -> SampledMap:
     return SampledMap(
         xs=xs,
         ys=ys,
-        alpha=map_def.alpha,
-        beta=map_def.beta,
         g_min=float(ys.min()),
         g_max=float(ys.max()),
     )

@@ -50,7 +50,6 @@ class Histogram:
 
     edges: np.ndarray
     heights: np.ndarray
-    n_samples: int
     mass: float
     clamped_fraction: float
 
@@ -139,7 +138,6 @@ def mc_density(
     return Histogram(
         edges=edges,
         heights=heights,
-        n_samples=cfg.n_samples,
         mass=float(counts.sum() / cfg.n_samples),
         clamped_fraction=float(clamped / cfg.n_samples),
     )

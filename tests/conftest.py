@@ -41,8 +41,7 @@ def make_sampled(xs, ys):
 
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    return SampledMap(xs=xs, ys=ys, alpha=float(xs[0]), beta=float(xs[-1]),
-                      g_min=float(ys.min()), g_max=float(ys.max()))
+    return SampledMap(xs=xs, ys=ys, g_min=float(ys.min()), g_max=float(ys.max()))
 
 
 def ripple_map(n_div=2000):

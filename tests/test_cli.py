@@ -1,4 +1,5 @@
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,33 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert ("t_final / step overflows the step count: 1e+300 is more than "
                 "1000000 RK4 steps") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["partition", "density"])
+    def test_iterations_past_the_cap_is_a_config_error(self, tmp_path, capsys, command):
+        # 10^12 logistic iterations would never finish, even on five points
+        cfg = write_config(tmp_path / "long.cfg", reference_config("logistic3", [
+            ("iterations = 3", "iterations = 1000000000000"), ("n_div = 400", "n_div = 4")]))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert ("bad [map] section: iterations must lie in 1..1000000, "
+                "got 1000000000000") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,edits", [
+        ("partition", [("n_div = 400", "n_div = 100000000000000000")]),
+        ("density", [("delta_cells = 500", "delta_cells = 100000000000000000")]),
+        ("mc", [("n_samples = 1000000", "n_samples = 100000000000000000"),
+                ("n_bins = 200", "n_bins = 100000000000000000")]),
+    ], ids=["n_div", "delta_cells", "n_bins"])
+    def test_an_array_too_large_for_memory_is_a_config_error(self, tmp_path, capsys,
+                                                             command, edits):
+        # 8*10^17 bytes fit in no 64-bit address space, so numpy refuses
+        # the array at once and nothing is touched
+        shutil.copy(CONFIG_DIR / "parabola.csv", tmp_path)
+        cfg = write_config(tmp_path / "huge.cfg", reference_config("parabola", edits))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error: the config's sizes need more memory than there is" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("lo,hi,code", [
         (0.2, 0.8, 2), (-0.5, 1.5, 2), (0.0, 0.9, 2), (0.0, 1.0, 0)])

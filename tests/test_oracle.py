@@ -242,7 +242,7 @@ class TestCompare:
     def constant_hist(lo, hi, value, bins=20):
         edges = np.linspace(lo, hi, bins + 1)
         return Histogram(edges=edges, heights=np.full(bins, value),
-                         n_samples=1, mass=value * (hi - lo), clamped_fraction=0.0)
+                         mass=value * (hi - lo), clamped_fraction=0.0)
 
     def test_identical_constants_have_zero_distance(self):
         curve = self.constant_curve(0.0, 2.0, 0.5)
