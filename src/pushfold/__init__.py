@@ -18,7 +18,6 @@ from .density import (
     TableDensity,
     Uniform,
     pushforward_density,
-    simpson_integral,
 )
 from .errors import (
     BranchError,

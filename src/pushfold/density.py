@@ -1,7 +1,8 @@
 """Input densities and the pushforward density evaluation.
 
-A density specification normalizes its raw shape at construction: by
-composite Simpson quadrature, or exactly for a piecewise-linear table.
+A density specification normalizes its raw shape at construction by its
+exact integral: in closed form for ``sin_plus_two`` and ``uniform``, by
+the trapezoid rule for a piecewise-linear table.
 ``pushforward_density`` evaluates the density of the transformed variable
 on a per-interval midpoint grid: between two consecutive critical values
 the covering branches are known from the layer table, each branch
@@ -36,20 +37,11 @@ from .errors import DegenerateInputError
 from .partition import LayerTable, MonotonePartition, u_of_y
 from .unfold import UnfoldedMap, eta_derivative, eta_eval
 
-SIMPSON_PANELS = 2048
 DEFAULT_CELLS = 500
 
 # Upper bound on the (branch, cell) pairs evaluated together; a cell
 # whose index set alone is larger forms a block of its own.
 PAIR_BLOCK = 8192
-
-
-def simpson_integral(f, a: float, b: float) -> float:
-    """Composite Simpson quadrature on SIMPSON_PANELS (even) panels."""
-    xs = np.linspace(a, b, SIMPSON_PANELS + 1)
-    ys = np.asarray(f(xs), dtype=float)
-    h = (b - a) / SIMPSON_PANELS
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
 @dataclass(frozen=True)
@@ -75,8 +67,8 @@ class DensitySpec:
         raise NotImplementedError
 
     def _integral(self) -> float:
-        """Integral of the raw shape over [alpha, beta]."""
-        return simpson_integral(self._raw, self.alpha, self.beta)
+        """Exact integral of the raw shape over [alpha, beta]."""
+        raise NotImplementedError
 
     def pdf(self, x):
         """Normalized density value(s) at x."""
@@ -92,11 +84,21 @@ class SinPlusTwo(DensitySpec):
     def _raw(self, x):
         return np.sin(self.omega * x) + 2.0
 
+    def _integral(self) -> float:
+        # the sine term is (cos(omega*a) - cos(omega*b)) / omega, written
+        # with sinc so that omega = 0 needs no division
+        a, b = self.alpha, self.beta
+        return float(2.0 * (b - a) + (b - a) * np.sin(self.omega * (a + b) / 2.0)
+                     * np.sinc(self.omega * (b - a) / (2.0 * np.pi)))
+
 
 @dataclass(frozen=True)
 class Uniform(DensitySpec):
     def _raw(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
+
+    def _integral(self) -> float:
+        return self.beta - self.alpha
 
 
 @dataclass(frozen=True, eq=False)

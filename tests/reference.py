@@ -86,6 +86,17 @@ def total(cls):
     return sum(dataclasses.astuple(cls))
 
 
+SIMPSON_PANELS = 2048
+
+
+def simpson_integral(f, a, b):
+    """Composite Simpson quadrature on SIMPSON_PANELS (even) panels."""
+    xs = np.linspace(a, b, SIMPSON_PANELS + 1)
+    ys = np.asarray(f(xs), dtype=float)
+    h = (b - a) / SIMPSON_PANELS
+    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
 def curve_mass(curve):
     """Integral of the curve: per-interval cell sums, intervals added up.
 

@@ -9,7 +9,7 @@ from conftest import (
     ripple_map,
     traced_peak,
 )
-from reference import curve_mass, index_set, index_sets
+from reference import curve_mass, index_set, index_sets, simpson_integral
 
 from pushfold import density
 from pushfold import (
@@ -29,7 +29,6 @@ from pushfold import (
     detect_extrema,
     pushforward_density,
     sample_map,
-    simpson_integral,
     u_of_y,
 )
 from pushfold.unfold import eta_derivative, eta_eval
@@ -49,6 +48,16 @@ class TestDensitySpec:
         assert abs(spec.normalization - exact) < 1e-10
         assert spec.pdf(0.0) == pytest.approx(2.0 / exact, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (2.0, 4.0), (0.0, 5.0), (-1.0, 1.99)])
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 40.0, -3.0])
+    def test_sin_plus_two_normalization_is_exact(self, alpha, beta, omega):
+        spec = SinPlusTwo(alpha=alpha, beta=beta, omega=omega)
+        exact = 2.0 * (beta - alpha) + (math.cos(omega * alpha) - math.cos(omega * beta)) / omega
+        assert spec.normalization == pytest.approx(exact, rel=1e-14)
+
+    def test_sin_plus_two_without_oscillation(self):
+        assert SinPlusTwo(alpha=-1.0, beta=2.0, omega=0.0).normalization == 6.0
+
     def test_uniform_unit_interval(self):
         spec = Uniform(alpha=0.0, beta=1.0)
         assert spec.normalization == 1.0
@@ -57,6 +66,7 @@ class TestDensitySpec:
     def test_uniform_wide_interval(self):
         spec = Uniform(alpha=-1.0, beta=1.0)
         assert spec.pdf(0.0) == 0.5
+        assert Uniform(alpha=0.1, beta=0.7).normalization == 0.7 - 0.1
 
     def test_normalized_integral_is_one(self):
         for spec in (SinPlusTwo(alpha=0.0, beta=5.0, omega=5.0),

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import CONFIG_DIR
+from reference import simpson_integral
 
 import pushfold.oracle as oracle
 from pushfold import (
@@ -21,7 +22,6 @@ from pushfold import (
     eval_map,
     mc_density,
     sample_map,
-    simpson_integral,
 )
 from pushfold.cli import Experiment, main
 
