@@ -196,8 +196,8 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     collapse into a single critical value (its representative is the
     cluster mean, except that the extreme clusters keep the exact
     sampled g_min / g_max).  The covering mask is evaluated once per
-    interval at its midpoint; by constancy of the covering branches on each open
-    interval this determines them everywhere.
+    interval at its midpoint; by constancy of the covering branches on
+    each open interval this determines them everywhere.
     """
     ga = p.g_alphas
     g_min = float(ga.min())
