@@ -12,7 +12,8 @@ positional argument and the four options (--config, --out, --seed,
 ``partition``, ``unfold`` and ``density`` ignore --seed and --threads.
 
 Exit codes: 0 success, 2 config or usage error (an array too large for
-memory included), 3 degenerate input, 4 numerical failure.
+memory included), 3 degenerate input, 4 numerical failure (any
+``NumericalError`` or ``FloatingPointError``).
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ import numpy as np
 
 from .csvfmt import write_rows
 from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_density
-from .errors import (
-    BranchError,
-    ConfigError,
-    DegenerateInputError,
-    DivergenceError,
-    RangeError,
-    TableConstructionError,
-    UnfoldError,
-)
+from .errors import ConfigError, DegenerateInputError, NumericalError
 from .maps import MAP_KINDS, GridSpec, sample_map, table_from_csv
 from .oracle import McConfig, compare, mc_density
 from .partition import PREIMAGE_KINDS, build_layer_table, detect_extrema
@@ -230,7 +223,7 @@ def _run_direct_stages(exp: Experiment):
     return sm, part, table, um, curve, elapsed
 
 
-def cmd_partition(exp: Experiment, out_dir: str) -> int:
+def cmd_partition(exp: Experiment, out_dir: str, threads: int) -> None:
     sm = sample_map(exp.map_def, exp.grid)
     part = detect_extrema(sm)
     table = build_layer_table(part)
@@ -240,20 +233,18 @@ def cmd_partition(exp: Experiment, out_dir: str) -> int:
     print(f"ell = {len(table.values) - 1}")
     print(f"S = {_fmt(part.total_variation)}")
     print("b = " + " ".join(_fmt(v) for v in table.values))
-    return 0
 
 
-def cmd_unfold(exp: Experiment, out_dir: str) -> int:
+def cmd_unfold(exp: Experiment, out_dir: str, threads: int) -> None:
     sm = sample_map(exp.map_def, exp.grid)
     part = detect_extrema(sm)
     um = build_unfolded(sm, part)
     _write_csv(os.path.join(out_dir, "eta.csv"), "u,x",
                (um.knots_u, um.knots_x))
     print(f"wrote eta.csv with {len(um.knots_u)} knots, S = {_fmt(um.total_variation)}")
-    return 0
 
 
-def cmd_density(exp: Experiment, out_dir: str) -> int:
+def cmd_density(exp: Experiment, out_dir: str, threads: int) -> None:
     sm, part, table, um, curve, elapsed = _run_direct_stages(exp)
     _write_csv(os.path.join(out_dir, "eta.csv"), "u,x",
                (um.knots_u, um.knots_x))
@@ -268,10 +259,10 @@ def cmd_density(exp: Experiment, out_dir: str) -> int:
     _write_json(os.path.join(out_dir, "timings.json"), {"direct_seconds": elapsed})
     print(f"mass = {curve.mass:.6f}  points = {len(curve.ys)}  "
           f"direct time = {elapsed:.3f} s")
-    return 0
 
 
-def cmd_mc(exp: Experiment, out_dir: str, threads: int) -> int:
+def _run_mc(exp: Experiment, out_dir: str, threads: int):
+    """Monte Carlo histogram, written to hist.csv; returns it and its timing."""
     if exp.mc is None:
         raise ConfigError("config has no [mc] section")
     t0 = time.perf_counter()
@@ -280,25 +271,24 @@ def cmd_mc(exp: Experiment, out_dir: str, threads: int) -> int:
     elapsed = time.perf_counter() - t0
     _write_csv(os.path.join(out_dir, "hist.csv"), "bin_left,bin_right,height",
                (hist.edges[:-1], hist.edges[1:], hist.heights))
+    return hist, elapsed
+
+
+def cmd_mc(exp: Experiment, out_dir: str, threads: int) -> None:
+    hist, elapsed = _run_mc(exp, out_dir, threads)
     _write_json(os.path.join(out_dir, "timings.json"), {"mc_seconds": elapsed})
     print(f"histogram mass = {hist.mass:.6f}  clamped = {hist.clamped_fraction:.2e}  "
           f"mc time = {elapsed:.3f} s")
-    return 0
 
 
-def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> int:
+def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> None:
     if exp.mc is None:
         raise ConfigError("config has no [mc] section; compare needs one")
     sm, part, table, um, curve, direct_seconds = _run_direct_stages(exp)
-    t0 = time.perf_counter()
-    hist = mc_density(exp.map_def, exp.density, exp.mc,
-                      scan_grid=exp.grid, threads=threads)
-    mc_seconds = time.perf_counter() - t0
+    hist, mc_seconds = _run_mc(exp, out_dir, threads)
     metrics = compare(curve, hist)
     _write_csv(os.path.join(out_dir, "mu_y.csv"), "y,mu_y,interval_id",
                (curve.ys, curve.mu_ys, curve.interval_ids))
-    _write_csv(os.path.join(out_dir, "hist.csv"), "bin_left,bin_right,height",
-               (hist.edges[:-1], hist.edges[1:], hist.heights))
     _write_json(os.path.join(out_dir, "metrics.json"), {
         "l1": metrics.l1,
         "sup": metrics.sup,
@@ -311,7 +301,10 @@ def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> int:
                 {"direct_seconds": direct_seconds, "mc_seconds": mc_seconds})
     print(f"l1 = {metrics.l1:.4f}  sup = {metrics.sup:.4f}")
     print(f"direct time = {direct_seconds:.3f} s  mc time = {mc_seconds:.3f} s")
-    return 0
+
+
+_COMMANDS = {"partition": cmd_partition, "unfold": cmd_unfold, "density": cmd_density,
+             "mc": cmd_mc, "compare": cmd_compare}
 
 
 def _worker_count(text: str) -> int:
@@ -327,7 +320,7 @@ def main(argv=None) -> int:
         description="Pushforward densities of piecewise-monotone maps.",
     )
     parser.add_argument("command", help="pipeline stage to run",
-                        choices=("partition", "unfold", "density", "mc", "compare"))
+                        choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -344,15 +337,8 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             parser.error(f"--out {args.out}: {exc.strerror}")
-        if args.command == "partition":
-            return cmd_partition(exp, args.out)
-        if args.command == "unfold":
-            return cmd_unfold(exp, args.out)
-        if args.command == "density":
-            return cmd_density(exp, args.out)
-        if args.command == "mc":
-            return cmd_mc(exp, args.out, args.threads)
-        return cmd_compare(exp, args.out, args.threads)
+        _COMMANDS[args.command](exp, args.out, args.threads)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         print("usage: pushfold <command> --config FILE --out DIR", file=sys.stderr)
@@ -364,8 +350,7 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, RangeError, BranchError,
-            TableConstructionError, UnfoldError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

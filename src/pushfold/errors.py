@@ -10,7 +10,12 @@ class DegenerateInputError(Exception):
     density whose normalization constant is not positive (exit code 3)."""
 
 
-class DivergenceError(Exception):
+class NumericalError(Exception):
+    """A pipeline stage failed numerically (exit code 4); the base of
+    every error below."""
+
+
+class DivergenceError(NumericalError):
     """The integrator produced a non-finite state.
 
     Carries ``t``, the integration time at which the state first
@@ -22,18 +27,18 @@ class DivergenceError(Exception):
         super().__init__(f"state became non-finite at t={t:g}")
 
 
-class RangeError(ValueError):
+class RangeError(NumericalError, ValueError):
     """Query value outside the valid range of the queried object."""
 
 
-class BranchError(ValueError):
+class BranchError(NumericalError, ValueError):
     """Branch index outside 1..n_branches of the queried partition."""
 
 
-class TableConstructionError(Exception):
+class TableConstructionError(NumericalError):
     """The critical-value table could not be built consistently."""
 
 
-class UnfoldError(Exception):
+class UnfoldError(NumericalError):
     """The unfolded map is not strictly increasing (flat segment in the
     sampled data that survived the merge rules)."""
