@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DivergenceError,
+    NumericalError,
     RangeError,
     TableConstructionError,
     UnfoldError,

@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline, mapped to CLI exit codes."""
+"""Exception types shared across the pipeline, mapped to CLI exit codes.
+
+Every error the pipeline raises for a numerical failure derives from
+``NumericalError``, so the command line maps all of them to exit code 4
+by that one base.
+"""
 
 
 class ConfigError(Exception):

@@ -5,6 +5,7 @@ histogram.  Used to cross-check the direct pushforward curves.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,18 +21,24 @@ CDF_GRID_POINTS = 4096
 # working set fits a 2 MB L2; smaller chunks lose more to GIL handoffs
 # between short numpy calls than they gain in cache.
 _CHUNK = 32768
+# 1000 times the reference configs' 10^6 samples; on an RK4 map that
+# is already about an hour of pushforward on two cores
+MAX_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings; an [mc] config section overrides these
-    defaults key by key."""
+    defaults key by key.  ``n_samples`` is at most ``MAX_SAMPLES``."""
 
     n_samples: int = 1_000_000
     n_bins: int = 200
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, "
+                             f"got {self.n_samples}")
         if not self.n_samples >= self.n_bins >= 2:
             raise ValueError("need n_samples >= n_bins >= 2")
         if self.seed < 0:
@@ -100,10 +107,12 @@ def mc_density(
     callers may omit ``scan_grid`` for 400 subdivisions.
 
     The draws are streamed: the calling thread draws one ``_CHUNK``-sized
-    chunk at a time in stream order, and a pool of ``threads`` workers
-    (fewer than one raises ValueError) pushes each chunk through the map
-    and bins it.  At most threads + 1 chunks are in flight, so memory is
-    bounded by threads x chunk whatever ``n_samples`` is.  Consecutive draws
+    chunk at a time in stream order, and a pool of workers pushes each
+    chunk through the map and bins it.  ``threads`` caps the workers
+    (fewer than one raises ValueError); the pool runs no more of them than
+    there are CPUs available to the process or chunks to push.  At most
+    workers + 1 chunks are in flight, so memory is bounded by workers x
+    chunk whatever ``n_samples`` is.  Consecutive draws
     continue one random stream and the per-chunk counts are integers, so
     the histogram does not depend on the chunk size or the worker count.
     Results are read in stream order, so an error raised in a chunk (a
@@ -117,8 +126,11 @@ def mc_density(
     edges = np.linspace(g_min, g_max, cfg.n_bins + 1)
 
     sampler = InverseCdfSampler(spec, cfg.seed)
-    chunks = (sampler.draw(min(_CHUNK, cfg.n_samples - start))
-              for start in range(0, cfg.n_samples, _CHUNK))
+    starts = range(0, cfg.n_samples, _CHUNK)
+    chunks = (sampler.draw(min(_CHUNK, cfg.n_samples - start)) for start in starts)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, cpus, len(starts))
 
     def push_and_bin(chunk):
         y = np.asarray(eval_map(map_def, chunk), dtype=float)
@@ -128,8 +140,8 @@ def mc_density(
 
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     clamped = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for c, cl in _in_order(pool, push_and_bin, chunks, threads + 1):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for c, cl in _in_order(pool, push_and_bin, chunks, workers + 1):
             counts += c
             clamped += cl
 

@@ -1,5 +1,7 @@
+import inspect
 import json
 import shutil
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,8 @@ from conftest import CONFIG_DIR
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushfold import csvfmt
+import pushfold.cli as cli
+from pushfold import csvfmt, errors
 from pushfold.cli import _write_csv, main
 from pushfold.partition import PREIMAGE_KINDS
 
@@ -173,9 +176,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,edits", [
         ("partition", [("n_div = 400", "n_div = 100000000000000000")]),
         ("density", [("delta_cells = 500", "delta_cells = 100000000000000000")]),
-        ("mc", [("n_samples = 1000000", "n_samples = 100000000000000000"),
-                ("n_bins = 200", "n_bins = 100000000000000000")]),
-    ], ids=["n_div", "delta_cells", "n_bins"])
+    ], ids=["n_div", "delta_cells"])
     def test_an_array_too_large_for_memory_is_a_config_error(self, tmp_path, capsys,
                                                              command, edits):
         # 8*10^17 bytes fit in no 64-bit address space, so numpy refuses
@@ -186,6 +187,41 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: the config's sizes need more memory than there is" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    @pytest.mark.parametrize("n_bins", ["200", "100000000000000000"],
+                             ids=["n_samples", "n_bins"])
+    def test_a_sample_count_past_the_cap_is_a_config_error(self, tmp_path, capsys,
+                                                           command, n_bins):
+        # 10^17 samples would stream for ever; with 10^17 bins too, the
+        # cap on the samples is the defect reported
+        shutil.copy(CONFIG_DIR / "parabola.csv", tmp_path)
+        cfg = write_config(tmp_path / "many.cfg", reference_config("parabola", [
+            ("n_samples = 1000000", "n_samples = 100000000000000000"),
+            ("n_bins = 200", f"n_bins = {n_bins}")]))
+        out = tmp_path / "o"
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert run(command, "--config", cfg, "--out", out) == 2
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.005, seconds
+        err = capsys.readouterr().err
+        assert err.count("config error: bad [mc] section: n_samples must be at most "
+                         "1000000000, got 100000000000000000") == 3
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command,message", [
+        ("mc", "config has no [mc] section"),
+        ("compare", "config has no [mc] section; compare needs one"),
+    ], ids=["mc", "compare"])
+    def test_mc_commands_need_an_mc_section(self, tmp_path, capsys, command, message):
+        (tmp_path / "identity.csv").write_text(IDENTITY_CSV)
+        cfg = write_config(tmp_path / "nomc.cfg", IDENTITY_CFG.split("[mc]")[0])
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}", "usage: pushfold <command> --config FILE --out DIR"]
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("lo,hi,code", [
         (0.2, 0.8, 2), (-0.5, 1.5, 2), (0.0, 0.9, 2), (0.0, 1.0, 0)])
@@ -625,6 +661,34 @@ n_div = 10
 """)
         assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 4
         assert "non-finite" in capsys.readouterr().err
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+EXIT_CODES = {errors.ConfigError: (2, "config error"), MemoryError: (2, "config error"),
+              errors.DegenerateInputError: (3, "degenerate input")}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", ERROR_CLASSES + [FloatingPointError, MemoryError],
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_maps_to_its_exit_code(self, tmp_path, identity_config, capsys,
+                                               monkeypatch, error):
+        def fail(*args):
+            raise error(0.5) if error is errors.DivergenceError else error("boom")
+
+        monkeypatch.setattr(cli, "sample_map", fail)
+        code, label = EXIT_CODES.get(error, (4, "numerical failure"))
+        assert run("partition", "--config", identity_config,
+                   "--out", tmp_path / "o") == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{label}: ") and "Traceback" not in err
+
+    def test_every_other_error_is_numerical(self):
+        numerical = set(ERROR_CLASSES) - {errors.ConfigError, errors.DegenerateInputError,
+                                          errors.NumericalError}
+        assert len(numerical) == 5
+        assert all(issubclass(cls, errors.NumericalError) for cls in numerical)
 
 
 class TestPartitionCommand:

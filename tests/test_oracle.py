@@ -1,5 +1,7 @@
+import os
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -204,6 +206,36 @@ class TestStreamedMcDensity:
             finally:
                 tracemalloc.stop()
             assert peak <= budget, (n_samples, peak, budget)
+
+    def test_workers_are_bounded_by_cpus_and_chunks(self, monkeypatch):
+        # a stand-in pool that records its size and runs each submission
+        # at once, so no thread is started whatever size is asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        cpus = len(os.sched_getaffinity(0))
+        for chunks, workers in ((1, 1), (cpus + 2, cpus)):
+            cfg = McConfig(n_samples=1000 * chunks - 1, n_bins=60, seed=21)
+            hist = mc_density(STREAM_MAP, STREAM_SPEC, cfg, threads=10**6)
+            assert sizes.pop() == workers <= os.cpu_count()
+            assert np.array_equal(hist.heights,
+                                  one_shot_histogram(STREAM_MAP, STREAM_SPEC, cfg)[1])
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_fewer_than_one_worker_rejected(self, threads):
