@@ -1,9 +1,5 @@
-"""Exception types shared across the pipeline, mapped to CLI exit codes.
-
-Every error the pipeline raises for a numerical failure derives from
-``NumericalError``, so the command line maps all of them to exit code 4
-by that one base.
-"""
+"""Exception types shared across the pipeline, mapped to CLI exit codes;
+every numerical failure (exit code 4) derives from ``NumericalError``."""
 
 
 class ConfigError(Exception):
