@@ -6,7 +6,6 @@ histogram.  Used to cross-check the direct pushforward curves.
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,9 +70,11 @@ class InverseCdfSampler:
     The CDF is accumulated by the trapezoid rule on a uniform grid of
     CDF_GRID_POINTS points and inverted by monotone linear interpolation
     of uniform deviates; the stream is fully determined by the seed.
+    Each deviate takes one PCG64 output, so ``start`` skips the stream's
+    first ``start`` draws.
     """
 
-    def __init__(self, spec: DensitySpec, seed: int):
+    def __init__(self, spec: DensitySpec, seed: int, start: int = 0):
         xs = np.linspace(spec.alpha, spec.beta, CDF_GRID_POINTS)
         pdf = np.asarray(spec.pdf(xs), dtype=float)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
@@ -84,7 +85,7 @@ class InverseCdfSampler:
         cdf /= cdf[-1]
         self._xs = xs
         self._cdf = cdf
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.Generator(np.random.PCG64(seed).advance(start))
 
     def draw(self, n: int) -> np.ndarray:
         u = self._rng.random(n)
@@ -106,15 +107,15 @@ def mc_density(
     own grid, so the bins span the range the direct path samples; other
     callers may omit ``scan_grid`` for 400 subdivisions.
 
-    The draws are streamed: the calling thread draws one ``_CHUNK``-sized
-    chunk at a time in stream order, and a pool of workers pushes each
-    chunk through the map and bins it.  ``threads`` caps the workers
+    The draws are streamed: a pool of workers each draws one
+    ``_CHUNK``-sized chunk from the chunk's offset in the seed's stream,
+    pushes it through the map and bins it.  ``threads`` caps the workers
     (fewer than one raises ValueError); the pool runs no more of them than
-    there are CPUs available to the process or chunks to push.  At most
-    workers + 1 chunks are in flight, so memory is bounded by workers x
-    chunk whatever ``n_samples`` is.  Consecutive draws
-    continue one random stream and the per-chunk counts are integers, so
-    the histogram does not depend on the chunk size or the worker count.
+    there are CPUs available to the process or chunks to push.  The pool
+    is fed one window of ``workers`` chunks at a time, so memory is
+    bounded by workers x chunk whatever ``n_samples`` is.  The chunks
+    are slices of one random stream and the per-chunk counts are integers,
+    so the histogram does not depend on the chunk size or the worker count.
     Results are read in stream order, so an error raised in a chunk (a
     ``DivergenceError`` of the integrator, say) is the one of the first
     failing chunk in stream order.
@@ -125,14 +126,14 @@ def mc_density(
     g_min, g_max = scan.g_min, scan.g_max
     edges = np.linspace(g_min, g_max, cfg.n_bins + 1)
 
-    sampler = InverseCdfSampler(spec, cfg.seed)
     starts = range(0, cfg.n_samples, _CHUNK)
-    chunks = (sampler.draw(min(_CHUNK, cfg.n_samples - start)) for start in starts)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(threads, cpus, len(starts))
 
-    def push_and_bin(chunk):
+    def push_and_bin(start):
+        chunk = InverseCdfSampler(spec, cfg.seed, start).draw(
+            min(_CHUNK, cfg.n_samples - start))
         y = np.asarray(eval_map(map_def, chunk), dtype=float)
         clamped = int((y < g_min).sum() + (y > g_max).sum())
         counts, _ = np.histogram(np.clip(y, g_min, g_max), bins=edges)
@@ -141,9 +142,10 @@ def mc_density(
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     clamped = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c, cl in _in_order(pool, push_and_bin, chunks, workers + 1):
-            counts += c
-            clamped += cl
+        for first in range(0, len(starts), workers):
+            for c, cl in pool.map(push_and_bin, starts[first:first + workers]):
+                counts += c
+                clamped += cl
 
     width = (g_max - g_min) / cfg.n_bins
     heights = counts / (cfg.n_samples * width)
@@ -153,22 +155,6 @@ def mc_density(
         mass=float(counts.sum() / cfg.n_samples),
         clamped_fraction=float(clamped / cfg.n_samples),
     )
-
-
-def _in_order(pool, fn, items, depth: int):
-    """fn over items on the pool, results in item order.
-
-    The next item is taken from ``items`` only while fewer than
-    ``depth`` results are pending, so a lazy ``items`` is consumed no
-    faster than the pool keeps up.
-    """
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 @dataclass(frozen=True)

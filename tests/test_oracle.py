@@ -1,7 +1,6 @@
 import os
 import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -178,22 +177,23 @@ class TestStreamedMcDensity:
         assert hist.clamped_fraction == clamped_fraction
 
     def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
-        # The map sleeps 20 ms per chunk, so the workers fall behind the
-        # draws as they do on the random-ODE maps; only the in-flight
-        # bound then keeps the drawn chunks from piling up.
+        # The map sleeps 20 ms per chunk, longer than a draw, as the
+        # random-ODE maps do; a scheduler that drew ahead of the workers
+        # would then pile up drawn chunks.
         def slow_map(map_def, x):
             time.sleep(0.02)
             return eval_map(map_def, x)
 
         monkeypatch.setattr(oracle, "eval_map", slow_map)
-        # Counted in chunk arrays of _CHUNK float64.  At most threads + 1
-        # drawn chunks are pending, and each worker may still hold the
-        # chunk whose result was just taken; the calling thread draws the
-        # next chunk (uniform deviates and their inverse-CDF images); each
-        # worker holds three more arrays (the map's temporaries, then its
-        # values, their clipped copy and the histogram's sorted copy).
-        # Scheduling moves the peak in steps of one array, never past this
-        # count; one more array covers the small objects.
+        # Counted in chunk arrays of _CHUNK float64.  Each worker holds
+        # its own chunk (while drawing, the uniform deviates and their
+        # inverse-CDF images) and three more arrays (the map's
+        # temporaries, then its values, their clipped copy and the
+        # histogram's sorted copy): threads + 3 * threads arrays.  The
+        # pool holds no chunk outside its workers; the budget still
+        # admits threads + 1 chunks drawn ahead of them and the 2 arrays
+        # of one more draw, so drawing ahead within that bound passes and
+        # piling up does not.  One more array covers the small objects.
         threads = 2
         arrays = (threads + 1 + threads) + 2 + 3 * threads + 1
         budget = arrays * oracle._CHUNK * 8
@@ -208,7 +208,7 @@ class TestStreamedMcDensity:
             assert peak <= budget, (n_samples, peak, budget)
 
     def test_workers_are_bounded_by_cpus_and_chunks(self, monkeypatch):
-        # a stand-in pool that records its size and runs each submission
+        # a stand-in pool that records its size and runs each mapped call
         # at once, so no thread is started whatever size is asked for
         sizes = []
 
@@ -222,10 +222,8 @@ class TestStreamedMcDensity:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, items):
+                return [fn(item) for item in items]
 
         monkeypatch.setattr(oracle, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
