@@ -23,12 +23,16 @@ _CHUNK = 32768
 # 1000 times the reference configs' 10^6 samples; on an RK4 map that
 # is already about an hour of pushforward on two cores
 MAX_SAMPLES = 10**9
+# 200 times the reference configs' bins; at MAX_SAMPLES still 1000
+# samples per bin, and each bin-sized array at most 8 MB
+MAX_BINS = 10**6
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings; an [mc] config section overrides these
-    defaults key by key.  ``n_samples`` is at most ``MAX_SAMPLES``."""
+    defaults key by key.  ``n_samples`` is at most ``MAX_SAMPLES`` and
+    ``n_bins`` at most ``MAX_BINS``."""
 
     n_samples: int = 1_000_000
     n_bins: int = 200
@@ -42,6 +46,8 @@ class McConfig:
             raise ValueError("need n_samples >= n_bins >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_bins > MAX_BINS:
+            raise ValueError(f"n_bins must be at most {MAX_BINS}, got {self.n_bins}")
 
 
 @dataclass(frozen=True, eq=False)

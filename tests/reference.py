@@ -1,4 +1,5 @@
-"""Plain references for what the pipeline computes without naming it.
+"""Plain references for what the pipeline computes without naming it,
+and an exact output CDF to check it against.
 
 The pipeline needs none of these: ``pushforward_density`` sums the curve
 mass while it fills the cells, and the layer table keeps only the
@@ -11,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from pushfold import RangeError
+from pushfold import RangeError, SinPlusTwo, Uniform
 from pushfold.partition import DEFAULT_VALUE_TOL, PREIMAGE_KINDS
 
 
@@ -112,3 +113,35 @@ def curve_mass(curve):
         width = curve.edges[i + 1] - curve.edges[i]
         mass += curve.mu_ys[inside].sum() * (width / inside.sum())
     return float(mass)
+
+
+def input_cdf(spec, x):
+    """F_X(x) in closed form for a ``uniform`` or ``sin_plus_two`` spec."""
+    a = spec.alpha
+    x = np.clip(x, a, spec.beta)
+    if isinstance(spec, Uniform):
+        return (x - a) / spec.normalization
+    assert isinstance(spec, SinPlusTwo), type(spec).__name__
+    # the sine term's integral with sinc, as SinPlusTwo normalizes, so
+    # that omega = 0 needs no division
+    w = spec.omega
+    sine = (x - a) * np.sin(w * (a + x) / 2.0) * np.sinc(w * (x - a) / (2.0 * np.pi))
+    return (2.0 * (x - a) + sine) / spec.normalization
+
+
+def logistic_cdf(rate, iterations, spec, y):
+    """Exact P(f^n(X) <= y) for f(x) = rate*x*(1-x) and X ~ spec.
+
+    ``[0, y]`` is pulled back through f once per iteration: the preimage
+    of ``[a, b]`` in [0, 1] is ``[x-(a), x-(b)]`` and ``[x+(b), x+(a)]``
+    with ``x±(c) = (1 ± sqrt(1 - 4c/rate))/2`` and c clipped to the range
+    [0, rate/4].  The input CDF is summed over the 2^n intervals.
+    """
+    y = np.asarray(y, dtype=float)
+    lo, hi = np.zeros(y.shape + (1,)), y[..., None]
+    for _ in range(iterations):
+        ra = np.sqrt(1.0 - 4.0 * np.clip(lo, 0.0, rate / 4.0) / rate)
+        rb = np.sqrt(1.0 - 4.0 * np.clip(hi, 0.0, rate / 4.0) / rate)
+        lo = np.concatenate([(1.0 - ra) / 2.0, (1.0 + rb) / 2.0], axis=-1)
+        hi = np.concatenate([(1.0 - rb) / 2.0, (1.0 + ra) / 2.0], axis=-1)
+    return (input_cdf(spec, hi) - input_cdf(spec, lo)).sum(axis=-1)

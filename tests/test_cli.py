@@ -211,6 +211,26 @@ class TestConfigValidation:
                          "1000000000, got 100000000000000000") == 3
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    def test_a_bin_count_past_the_cap_is_a_config_error(self, tmp_path, capsys, command):
+        # 10^9 bins pass the sample cap at 10^9 samples but would ask for
+        # several 8 GB bin-sized arrays; the bin cap refuses them at once
+        shutil.copy(CONFIG_DIR / "parabola.csv", tmp_path)
+        cfg = write_config(tmp_path / "bins.cfg", reference_config("parabola", [
+            ("n_samples = 1000000", "n_samples = 1000000000"),
+            ("n_bins = 200", "n_bins = 1000000000")]))
+        out = tmp_path / "o"
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert run(command, "--config", cfg, "--out", out) == 2
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.005, seconds
+        err = capsys.readouterr().err
+        assert err.count("config error: bad [mc] section: n_bins must be at most "
+                         "1000000, got 1000000000") == 3
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("command,message", [
         ("mc", "config has no [mc] section"),
         ("compare", "config has no [mc] section; compare needs one"),

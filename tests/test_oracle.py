@@ -4,8 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import CONFIG_DIR
-from reference import simpson_integral
+from conftest import CONFIG_DIR, experiment_defs
+from reference import logistic_cdf, simpson_integral
 
 import pushfold.oracle as oracle
 from pushfold import (
@@ -17,11 +17,16 @@ from pushfold import (
     McConfig,
     Oscillator,
     SinPlusTwo,
+    TableDensity,
     TableMap,
     Uniform,
+    build_layer_table,
+    build_unfolded,
     compare,
+    detect_extrema,
     eval_map,
     mc_density,
+    pushforward_density,
     sample_map,
 )
 from pushfold.cli import Experiment, main
@@ -40,6 +45,15 @@ def ks_statistic(samples, cdf):
 def numeric_cdf(sampler, x):
     """The numeric CDF that ``sampler`` inverts, at x."""
     return np.interp(x, sampler._xs, sampler._cdf)
+
+
+# one density of each kind: uniform, sin_plus_two and table
+DENSITIES = [
+    Uniform(alpha=0.0, beta=1.0),
+    SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0),
+    TableDensity(alpha=0.0, beta=1.0, xs=np.linspace(0, 1, 33),
+                 weights=1.0 + np.linspace(0, 1, 33) ** 2),
+]
 
 
 class TestInverseCdfSampler:
@@ -71,21 +85,19 @@ class TestInverseCdfSampler:
         whole = InverseCdfSampler(spec, seed=11).draw(a + b)
         assert np.array_equal(np.concatenate([split.draw(a), split.draw(b)]), whole)
 
-    def test_ks_all_variants(self):
-        from pushfold import TableDensity
+    @pytest.mark.parametrize("start", [0, 1, 4097, 32768, 1_000_003])
+    @pytest.mark.parametrize("spec", DENSITIES, ids=lambda spec: type(spec).__name__)
+    def test_start_skips_that_many_draws(self, spec, start):
+        tail = InverseCdfSampler(spec, seed=11, start=start).draw(7)
+        whole = InverseCdfSampler(spec, seed=11).draw(start + 7)
+        assert np.array_equal(tail, whole[start:])
 
+    def test_ks_all_variants(self):
         n = 1_000_000
-        variants = [
-            Uniform(alpha=0.0, beta=1.0),
-            SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0),
-            TableDensity(alpha=0.0, beta=1.0,
-                         xs=np.linspace(0, 1, 33),
-                         weights=1.0 + np.linspace(0, 1, 33) ** 2),
-        ]
         # the inversion reproduces its own CDF exactly, so the statistic
         # is that of the raw uniform stream; the frozen seeds avoid the
         # 1% false-alarm region of the exact null
-        for k, spec in enumerate(variants):
+        for k, spec in enumerate(DENSITIES):
             sampler = InverseCdfSampler(spec, seed=2000 + k)
             xs = sampler.draw(n)
             stat = ks_statistic(xs, lambda x: numeric_cdf(sampler, x))
@@ -142,6 +154,16 @@ class TestMcDensity:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(n_samples=10, n_bins=20, seed=0)
+
+    def test_bin_count_is_capped_after_the_other_checks(self):
+        McConfig(n_samples=oracle.MAX_SAMPLES, n_bins=oracle.MAX_BINS)
+        with pytest.raises(ValueError, match="n_bins must be at most 1000000, got 1000001"):
+            McConfig(n_samples=oracle.MAX_SAMPLES, n_bins=oracle.MAX_BINS + 1)
+        # a config that fails another check keeps that check's message
+        with pytest.raises(ValueError, match="need n_samples >= n_bins >= 2"):
+            McConfig(n_samples=10, n_bins=10**7)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            McConfig(n_samples=10**7, n_bins=10**7, seed=-1)
 
 
 # the oscillator config's folding map: interior extrema put samples
@@ -298,3 +320,49 @@ class TestCompare:
 
     def test_duffing_pipeline_vs_histogram(self, comparisons):
         assert comparisons["duffing"].metrics.l1 < 0.08
+
+
+class TestExactLogisticReference:
+    RATE = 3.9  # the logistic3 config's
+
+    def exact_histogram(self, edges, spec, iterations=3):
+        """Bin heights of the exact logistic pushforward; the boundary
+        bins take the tails, as mc_density clamps them in."""
+        cdf = logistic_cdf(self.RATE, iterations, spec, edges)
+        cdf[0], cdf[-1] = 0.0, 1.0
+        return Histogram(edges=edges, heights=np.diff(cdf) / np.diff(edges),
+                         mass=1.0, clamped_fraction=0.0)
+
+    @pytest.mark.parametrize("iterations", [1, 3, 9])
+    def test_cdf_runs_from_zero_to_one(self, iterations):
+        spec = SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0)
+        ys = np.linspace(0.0, self.RATE / 4.0, 201)
+        cdf = logistic_cdf(self.RATE, iterations, spec, ys)
+        assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(cdf) >= 0.0)
+
+    def test_zero_omega_is_the_uniform_cdf(self):
+        ys = np.linspace(0.0, self.RATE / 4.0, 201)
+        flat = logistic_cdf(self.RATE, 3, SinPlusTwo(alpha=0.2, beta=0.9, omega=0.0), ys)
+        uniform = logistic_cdf(self.RATE, 3, Uniform(alpha=0.2, beta=0.9), ys)
+        assert np.allclose(flat, uniform, rtol=0.0, atol=1e-15)
+
+    def test_monte_carlo_histogram_is_within_its_noise(self, comparisons):
+        # 10^6 samples put the histogram 0.0096 from the exact one in l1
+        hist = comparisons["logistic"].hist
+        spec = experiment_defs()["logistic"][1]
+        exact = self.exact_histogram(hist.edges, spec)
+        l1 = float(np.sum(np.abs(hist.heights - exact.heights) * np.diff(hist.edges)))
+        assert l1 < 0.011
+
+    @pytest.mark.parametrize("n_div,measured", [(400, 0.0240), (4000, 0.0328)])
+    def test_midpoint_curve_distance_is_pinned(self, n_div, measured):
+        # compare's l1 of the midpoint curve against the exact histogram:
+        # a finer grid does not bring the curve closer to the truth
+        map_def, spec, _ = experiment_defs()["logistic"]
+        sm = sample_map(map_def, GridSpec(n_div))
+        part = detect_extrema(sm)
+        curve = pushforward_density(part, build_layer_table(part), build_unfolded(sm, part),
+                                    spec, cells=500)
+        exact = self.exact_histogram(np.linspace(0.0, self.RATE / 4.0, 201), spec)
+        assert compare(curve, exact).l1 <= 1.1 * measured
