@@ -118,10 +118,11 @@ def mc_density(
     pushes it through the map and bins it.  ``threads`` caps the workers
     (fewer than one raises ValueError); the pool runs no more of them than
     there are CPUs available to the process or chunks to push.  The pool
-    is fed one window of ``workers`` chunks at a time, so memory is
-    bounded by workers x chunk whatever ``n_samples`` is.  The chunks
-    are slices of one random stream and the per-chunk counts are integers,
-    so the histogram does not depend on the chunk size or the worker count.
+    is fed one window of 16 chunk offsets per worker at a time, and a
+    chunk is drawn only when a worker takes it up, so memory is bounded
+    by workers x chunk whatever ``n_samples`` is.  The chunks are slices
+    of one random stream and the per-chunk counts are integers, so the
+    histogram does not depend on the chunk size or the worker count.
     Results are read in stream order, so an error raised in a chunk (a
     ``DivergenceError`` of the integrator, say) is the one of the first
     failing chunk in stream order.
@@ -147,9 +148,14 @@ def mc_density(
 
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     clamped = 0
+    # within a window a faster worker takes more chunks, and only the last
+    # ones wait for the slowest; 1 or 4 chunks per worker made pendulum at
+    # 10^6 samples ~5% slower on 2 vCPUs.  A window's futures and pending
+    # bin counts stay small beside the workers' chunks.
+    window = 16 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first in range(0, len(starts), workers):
-            for c, cl in pool.map(push_and_bin, starts[first:first + workers]):
+        for first in range(0, len(starts), window):
+            for c, cl in pool.map(push_and_bin, starts[first:first + window]):
                 counts += c
                 clamped += cl
 
