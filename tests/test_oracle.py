@@ -154,12 +154,11 @@ class TestMcDensity:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(n_samples=10, n_bins=20, seed=0)
-
-    def test_bin_count_is_capped_after_the_other_checks(self):
         McConfig(n_samples=oracle.MAX_SAMPLES, n_bins=oracle.MAX_BINS)
         with pytest.raises(ValueError, match="n_bins must be at most 1000000, got 1000001"):
             McConfig(n_samples=oracle.MAX_SAMPLES, n_bins=oracle.MAX_BINS + 1)
-        # a config that fails another check keeps that check's message
+        # the bin cap is checked last, so a config that fails another
+        # check keeps that check's message
         with pytest.raises(ValueError, match="need n_samples >= n_bins >= 2"):
             McConfig(n_samples=10, n_bins=10**7)
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -323,12 +322,14 @@ class TestCompare:
 
 
 class TestExactLogisticReference:
-    RATE = 3.9  # the logistic3 config's
+    RATE = 3.9
 
-    def exact_histogram(self, edges, spec, iterations=3):
-        """Bin heights of the exact logistic pushforward; the boundary
-        bins take the tails, as mc_density clamps them in."""
-        cdf = logistic_cdf(self.RATE, iterations, spec, edges)
+    @staticmethod
+    def exact_histogram(edges):
+        """Bin heights of the exact pushforward of the logistic3 config;
+        the boundary bins take the tails, as mc_density clamps them in."""
+        map_def, spec, _ = experiment_defs()["logistic"]
+        cdf = logistic_cdf(map_def.rate, map_def.iterations, spec, edges)
         cdf[0], cdf[-1] = 0.0, 1.0
         return Histogram(edges=edges, heights=np.diff(cdf) / np.diff(edges),
                          mass=1.0, clamped_fraction=0.0)
@@ -350,8 +351,7 @@ class TestExactLogisticReference:
     def test_monte_carlo_histogram_is_within_its_noise(self, comparisons):
         # 10^6 samples put the histogram 0.0096 from the exact one in l1
         hist = comparisons["logistic"].hist
-        spec = experiment_defs()["logistic"][1]
-        exact = self.exact_histogram(hist.edges, spec)
+        exact = self.exact_histogram(hist.edges)
         l1 = float(np.sum(np.abs(hist.heights - exact.heights) * np.diff(hist.edges)))
         assert l1 < 0.011
 
@@ -364,5 +364,5 @@ class TestExactLogisticReference:
         part = detect_extrema(sm)
         curve = pushforward_density(part, build_layer_table(part), build_unfolded(sm, part),
                                     spec, cells=500)
-        exact = self.exact_histogram(np.linspace(0.0, self.RATE / 4.0, 201), spec)
+        exact = self.exact_histogram(np.linspace(0.0, map_def.rate / 4.0, 201))
         assert compare(curve, exact).l1 <= 1.1 * measured
