@@ -150,8 +150,8 @@ def mc_density(
     clamped = 0
     # within a window a faster worker takes more chunks, and only the last
     # ones wait for the slowest; 1 or 4 chunks per worker made pendulum at
-    # 10^6 samples ~5% slower on 2 vCPUs.  A window's futures and pending
-    # bin counts stay small beside the workers' chunks.
+    # 10^6 samples ~5% slower on 2 vCPUs.  Beside the workers' chunks, a
+    # window holds its futures and the bin counts of chunks done early.
     window = 16 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for first in range(0, len(starts), window):
