@@ -17,6 +17,7 @@ from .density import (
     SinPlusTwo,
     TableDensity,
     Uniform,
+    pushforward_cdf,
     pushforward_density,
 )
 from .errors import (

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands chain the pipeline stages (sample -> partition -> unfold ->
-density, plus the Monte Carlo baseline and curve-vs-histogram metrics)
-and persist every artifact as CSV/JSON.  Experiments are described by a
-flat key-section config file; see README for the format and the five
-checked-in experiment configs.
+density, plus the Monte Carlo baseline and its distance from the exact
+bin masses of F_Y) and persist every artifact as CSV/JSON.  Experiments
+are described by a flat key-section config file; see README for the
+format and the five checked-in experiment configs.
 
 One argument parser serves every command: the command name is a
 positional argument and the four options (--config, --out, --seed,
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from .csvfmt import write_rows
-from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_density
+from .density import DEFAULT_CELLS, DENSITY_KINDS, pushforward_cdf, pushforward_density
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .maps import MAP_KINDS, GridSpec, sample_map, table_from_csv
 from .oracle import McConfig, compare, mc_density
@@ -286,7 +286,7 @@ def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> None:
         raise ConfigError("config has no [mc] section; compare needs one")
     sm, part, table, um, curve, direct_seconds = _run_direct_stages(exp)
     hist, mc_seconds = _run_mc(exp, out_dir, threads)
-    metrics = compare(curve, hist)
+    metrics = compare(pushforward_cdf(part, um, exp.density, hist.edges), hist)
     _write_csv(os.path.join(out_dir, "mu_y.csv"), "y,mu_y,interval_id",
                (curve.ys, curve.mu_ys, curve.interval_ids))
     _write_json(os.path.join(out_dir, "metrics.json"), {

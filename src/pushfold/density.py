@@ -1,8 +1,8 @@
-"""Input densities and the pushforward density evaluation.
+"""Input densities, the pushforward density and its CDF.
 
-A density specification normalizes its raw shape at construction by its
-exact integral: in closed form for ``sin_plus_two`` and ``uniform``, by
-the trapezoid rule for a piecewise-linear table.
+Each density kind integrates its raw shape from alpha to x exactly, in
+closed form or by trapezoids over a table's knots; at beta that is its
+normalization.  ``pushforward_cdf`` sums each branch's mass below y.
 ``pushforward_density`` evaluates the density of the transformed variable
 on a per-interval midpoint grid: between two consecutive critical values
 the covering branches are known from the layer table, each branch
@@ -57,7 +57,7 @@ class DensitySpec:
             raise ValueError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
         # an overflowing shape gives inf or nan here, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            z = self._integral()
+            z = float(self._raw_cdf(self.beta))
         if not (math.isfinite(z) and z > 0.0):
             raise DegenerateInputError(
                 f"density normalization constant {z!r} is not finite and positive")
@@ -66,8 +66,8 @@ class DensitySpec:
     def _raw(self, x):
         raise NotImplementedError
 
-    def _integral(self) -> float:
-        """Exact integral of the raw shape over [alpha, beta]."""
+    def _raw_cdf(self, x):
+        """Exact integral of the raw shape over [alpha, x]."""
         raise NotImplementedError
 
     def pdf(self, x):
@@ -84,12 +84,12 @@ class SinPlusTwo(DensitySpec):
     def _raw(self, x):
         return np.sin(self.omega * x) + 2.0
 
-    def _integral(self) -> float:
-        # the sine term is (cos(omega*a) - cos(omega*b)) / omega, written
+    def _raw_cdf(self, x):
+        # the sine term is (cos(omega*a) - cos(omega*x)) / omega, written
         # with sinc so that omega = 0 needs no division
-        a, b = self.alpha, self.beta
-        return float(2.0 * (b - a) + (b - a) * np.sin(self.omega * (a + b) / 2.0)
-                     * np.sinc(self.omega * (b - a) / (2.0 * np.pi)))
+        a = self.alpha
+        return (2.0 * (x - a) + (x - a) * np.sin(self.omega * (a + x) / 2.0)
+                * np.sinc(self.omega * (x - a) / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class Uniform(DensitySpec):
     def _raw(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    def _integral(self) -> float:
-        return self.beta - self.alpha
+    def _raw_cdf(self, x):
+        return x - self.alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +126,14 @@ class TableDensity(DensitySpec):
     def _raw(self, x):
         return np.interp(x, self.xs, self.weights)
 
-    def _integral(self) -> float:
-        """Exact trapezoid integral of the interpolated weights."""
+    def _raw_cdf(self, x):
+        """Trapezoids over the knots below x, exact for the interpolant."""
         inner = self.xs[(self.xs > self.alpha) & (self.xs < self.beta)]
-        x = np.concatenate([[self.alpha], inner, [self.beta]])
-        w = self._raw(x)
-        return float(np.sum(np.diff(x) * (w[:-1] + w[1:])) / 2.0)
+        knots = np.concatenate([[self.alpha], inner, [self.beta]])
+        w = self._raw(knots)
+        below = np.cumsum(np.diff(knots) * (w[:-1] + w[1:]) / 2.0)
+        k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+        return np.append(0.0, below)[k] + (x - knots[k]) * (w[k] + self._raw(x)) / 2.0
 
 
 # config kind name -> density variant
@@ -226,3 +228,16 @@ def pushforward_density(
         delta=float(delta),
         mass=mass,
     )
+
+
+def pushforward_cdf(p: MonotonePartition, um: UnfoldedMap, spec: DensitySpec, ys):
+    """F_Y(y) = P(g(X) <= y) at an array of y: each branch adds the input
+    mass from its start to the preimage of y, the branch offset of y
+    clipped to [0, |lambda_j|], so no index set is needed."""
+    total = 0.0
+    for j, lam in enumerate(p.lambdas):
+        t = np.clip((ys - p.g_alphas[j]) * np.sign(lam), 0.0, abs(lam))
+        # a decreasing branch holds g <= y from the preimage to its end
+        start = spec._raw_cdf(p.alphas[j] if lam > 0 else p.alphas[j + 1])
+        total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - start)
+    return total / spec.normalization

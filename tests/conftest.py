@@ -23,6 +23,7 @@ from pushfold import (
     build_unfolded,
     compare,
     detect_extrema,
+    pushforward_cdf,
     pushforward_density,
     mc_density,
     sample_map,
@@ -157,7 +158,8 @@ class ComparisonRun:
 
 @pytest.fixture(scope="session")
 def comparisons(pipelines):
-    """Monte Carlo baselines (1e6 samples, 200 bins) vs the curves."""
+    """Monte Carlo baselines (1e6 samples, 200 bins) vs the exact bin
+    masses of each pipeline's pushforward CDF."""
     cfg = McConfig(n_samples=1_000_000, n_bins=200, seed=MC_SEED)
     out = {}
     for name, (map_def, spec, grid) in experiment_defs().items():
@@ -165,7 +167,8 @@ def comparisons(pipelines):
         hist = mc_density(map_def, spec, cfg, scan_grid=grid,
                           threads=os.cpu_count() or 1)
         seconds = time.perf_counter() - t0
-        metrics = compare(pipelines[name].curve, hist)
+        run = pipelines[name]
+        metrics = compare(pushforward_cdf(run.part, run.um, spec, hist.edges), hist)
         out[name] = ComparisonRun(hist, metrics, seconds)
     return out
 

@@ -115,6 +115,18 @@ def curve_mass(curve):
     return float(mass)
 
 
+def bin_average(curve, edges):
+    """Bin heights of a curve: the equal-weight mean of its points in
+    each bin, as compare measured the midpoint curve before it read the
+    pushforward CDF.  Every bin must hold a point."""
+    nb = len(edges) - 1
+    idx = np.clip(np.searchsorted(edges, curve.ys, side="right") - 1, 0, nb - 1)
+    counts = np.bincount(idx, minlength=nb)
+    if not counts.all():
+        raise ValueError(f"{int((counts == 0).sum())} bins hold no curve point")
+    return np.bincount(idx, weights=curve.mu_ys, minlength=nb) / counts
+
+
 def input_cdf(spec, x):
     """F_X(x) in closed form for a ``uniform`` or ``sin_plus_two`` spec."""
     a = spec.alpha
@@ -145,3 +157,19 @@ def logistic_cdf(rate, iterations, spec, y):
         lo = np.concatenate([(1.0 - ra) / 2.0, (1.0 + rb) / 2.0], axis=-1)
         hi = np.concatenate([(1.0 - rb) / 2.0, (1.0 + ra) / 2.0], axis=-1)
     return (input_cdf(spec, hi) - input_cdf(spec, lo)).sum(axis=-1)
+
+
+def table_cdf(table_map, spec, y):
+    """Exact P(g(X) <= y) for a ``table`` map g and a ``uniform`` X.
+
+    g is linear between its knots, so each segment contributes the share
+    of its length where g <= y; a flat segment all or none of it.
+    """
+    assert isinstance(spec, Uniform), type(spec).__name__
+    x0, x1 = table_map.xs[:-1], table_map.xs[1:]
+    g0, g1 = table_map.ys[:-1], table_map.ys[1:]
+    y = np.asarray(y, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.clip((y - g0) / (g1 - g0), 0.0, 1.0)
+    share = np.where(g1 > g0, share, np.where(g1 < g0, 1.0 - share, 1.0 * (g0 <= y)))
+    return ((x1 - x0) * share).sum(axis=-1) / spec.normalization

@@ -9,7 +9,15 @@ from conftest import (
     ripple_map,
     traced_peak,
 )
-from reference import curve_mass, index_set, index_sets, simpson_integral
+from reference import (
+    curve_mass,
+    index_set,
+    index_sets,
+    input_cdf,
+    logistic_cdf,
+    simpson_integral,
+    table_cdf,
+)
 
 from pushfold import density
 from pushfold import (
@@ -27,8 +35,10 @@ from pushfold import (
     build_layer_table,
     build_unfolded,
     detect_extrema,
+    pushforward_cdf,
     pushforward_density,
     sample_map,
+    transition_check,
     u_of_y,
 )
 from pushfold.unfold import eta_derivative, eta_eval
@@ -86,6 +96,42 @@ class TestDensitySpec:
         wide = TableDensity(alpha=0.25, beta=0.75, xs=np.array([0.0, 0.5, 1.0]),
                             weights=np.array([0.0, 2.0, 0.0]))
         assert wide.normalization == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        Uniform(alpha=-1.0, beta=1.0), Uniform(alpha=0.1, beta=0.7),
+        SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0), SinPlusTwo(alpha=2.0, beta=4.0, omega=-3.0),
+        SinPlusTwo(alpha=0.0, beta=5.0, omega=40.0), SinPlusTwo(alpha=-1.0, beta=2.0, omega=0.0),
+    ])
+    def test_raw_cdf_is_the_closed_form(self, spec):
+        xs = np.linspace(spec.alpha, spec.beta, 101)
+        assert spec._raw_cdf(spec.alpha) == 0.0
+        assert np.allclose(spec._raw_cdf(xs) / spec.normalization, input_cdf(spec, xs),
+                           rtol=0.0, atol=1e-14)
+
+    def test_raw_cdf_without_oscillation_is_linear(self):
+        spec = SinPlusTwo(alpha=-1.0, beta=2.0, omega=0.0)
+        xs = np.linspace(-1.0, 2.0, 101)
+        assert np.array_equal(spec._raw_cdf(xs), 2.0 * (xs + 1.0))
+
+    def test_table_raw_cdf_is_the_fine_trapezoid(self):
+        # knots past both ends of [alpha, beta], and kinks between the x
+        spec = TableDensity(alpha=0.05, beta=0.95,
+                            xs=np.array([0.0, 0.13, 0.5, 0.77, 1.0, 1.4]),
+                            weights=np.array([0.2, 1.5, 0.1, 2.0, 0.7, 3.0]))
+        fine = np.linspace(spec.alpha, spec.beta, 180_001)
+        w = spec._raw(fine)
+        trapezoid = np.append(0.0, np.cumsum(np.diff(fine) * (w[:-1] + w[1:]) / 2.0))
+        assert spec._raw_cdf(spec.alpha) == 0.0
+        assert np.allclose(spec._raw_cdf(fine[::1000]), trapezoid[::1000], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        Uniform(alpha=0.1, beta=0.7), SinPlusTwo(alpha=0.0, beta=5.0, omega=5.0),
+        SinPlusTwo(alpha=-1.0, beta=2.0, omega=0.0),
+        TableDensity(alpha=0.0, beta=1.0, xs=np.linspace(0, 1, 33),
+                     weights=1.0 + np.linspace(0, 1, 33) ** 2),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_normalization_is_the_raw_cdf_at_beta(self, spec):
+        assert spec.normalization == spec._raw_cdf(spec.beta)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -330,6 +376,64 @@ class TestCurveMass:
             _, _, _, curve = pipeline(sample_map(m, GridSpec(20000)),
                                       SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0))
             assert curve.mass == curve_mass(curve), iterations
+
+
+def cdf_cases():
+    """The five reference experiments, parabola and logistic on odd grids
+    that straddle their extremum, and the many-branches benchmark inputs."""
+    defs = experiment_defs()
+    cases = dict(defs)
+    for name in ("parabola", "logistic"):
+        for n_div in (401, 10211):
+            cases[f"{name}-{n_div}"] = defs[name][:2] + (GridSpec(n_div),)
+    spec = defs["logistic"][1]
+    for iterations in (7, 8, 9):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        cases[f"logistic{iterations}-20000"] = (m, spec, GridSpec(20000))
+    return cases
+
+
+class TestPushforwardCdf:
+    @staticmethod
+    def unfolded(map_def, grid):
+        sm = sample_map(map_def, grid)
+        p = detect_extrema(sm)
+        return sm, p, build_unfolded(sm, p)
+
+    @pytest.mark.parametrize("name", list(cdf_cases()))
+    def test_runs_from_zero_to_one(self, name):
+        map_def, spec, grid = cdf_cases()[name]
+        sm, p, um = self.unfolded(map_def, grid)
+        ys = np.linspace(sm.g_min, sm.g_max, 2001)
+        cdf = pushforward_cdf(p, um, spec, ys)
+        assert cdf[0] == 0.0
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(cdf) >= 0.0)
+
+    @pytest.mark.parametrize("n_div,exact", [(400, True), (1000, False)])
+    def test_table_map_on_its_own_knots_is_exact(self, n_div, exact):
+        # parabola.csv has 401 knots: 400 divisions sample the map on
+        # them, 1000 divisions cut its segments (3.9e-5 off)
+        table_map, spec, _ = experiment_defs()["parabola"]
+        sm, p, um = self.unfolded(table_map, GridSpec(n_div))
+        ys = np.linspace(sm.g_min, sm.g_max, 1001)
+        err = np.max(np.abs(pushforward_cdf(p, um, spec, ys) - table_cdf(table_map, spec, ys)))
+        assert (err <= 1e-14) == exact, err
+
+    @pytest.mark.parametrize("iterations,n_div,measured", [
+        (3, 400, 6.58e-3), (3, 4000, 8.91e-5), (9, 20000, 2.86e-3)])
+    def test_logistic_bin_masses_are_pinned(self, iterations, n_div, measured):
+        # l1 of the bin masses against the exact ones, 200 bins on [0, r/4];
+        # F_Y reads no index set, so it holds at 9 iterations, where the
+        # 288 sampled branches fail transition_check
+        spec = experiment_defs()["logistic"][1]
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        _, p, um = self.unfolded(m, GridSpec(n_div))
+        edges = np.linspace(0.0, m.rate / 4.0, 201)
+        exact = logistic_cdf(m.rate, iterations, spec, edges)
+        l1 = np.sum(np.abs(np.diff(pushforward_cdf(p, um, spec, edges)) - np.diff(exact)))
+        assert l1 <= 1.1 * measured
+        assert transition_check(build_layer_table(p)) == (iterations == 3)
 
 
 class TestDegenerateDensity:

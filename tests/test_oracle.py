@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import CONFIG_DIR, experiment_defs
-from reference import logistic_cdf, simpson_integral
+from reference import bin_average, logistic_cdf, simpson_integral
 
 import pushfold.oracle as oracle
 from pushfold import (
-    DensityCurve,
     DivergenceError,
     GridSpec,
     Histogram,
@@ -281,13 +280,7 @@ class TestStreamedMcDensity:
 
 
 class TestCompare:
-    @staticmethod
-    def constant_curve(lo, hi, value, n=400):
-        ys = lo + (np.arange(n) + 0.5) * (hi - lo) / n
-        return DensityCurve(
-            ys=ys, mu_ys=np.full(n, value), interval_ids=np.zeros(n, dtype=int),
-            edges=np.array([lo, hi]), delta=(hi - lo) / n, mass=value * (hi - lo),
-        )
+    # a constant density on [0, 2] has the CDF value * y at the edges
 
     @staticmethod
     def constant_hist(lo, hi, value, bins=20):
@@ -296,23 +289,21 @@ class TestCompare:
                          mass=value * (hi - lo), clamped_fraction=0.0)
 
     def test_identical_constants_have_zero_distance(self):
-        curve = self.constant_curve(0.0, 2.0, 0.5)
         hist = self.constant_hist(0.0, 2.0, 0.5)
-        m = compare(curve, hist)
+        m = compare(0.5 * hist.edges, hist)
         assert m.l1 == 0.0 and m.sup == 0.0
 
-    def test_disjoint_supports(self):
-        curve = self.constant_curve(0.0, 1.0, 1.0)
-        hist = self.constant_hist(5.0, 6.0, 1.0)
-        with pytest.raises(ValueError):
-            compare(curve, hist)
-
     def test_offset_constants(self):
-        curve = self.constant_curve(0.0, 2.0, 0.75)
         hist = self.constant_hist(0.0, 2.0, 0.5)
-        m = compare(curve, hist)
+        m = compare(0.75 * hist.edges, hist)
         assert m.l1 == pytest.approx(0.5, abs=1e-12)
         assert m.sup == pytest.approx(0.25, abs=1e-12)
+
+    def test_every_config_is_within_monte_carlo_noise(self, comparisons):
+        # 10^6 samples read 0.0114-0.0154 against the exact bin masses;
+        # the midpoint curve's bin averages read 0.0223-0.0346
+        for name, run in comparisons.items():
+            assert run.metrics.l1 < 0.018, (name, run.metrics.l1)
 
     def test_parabola_pipeline_vs_histogram(self, comparisons):
         assert comparisons["parabola"].metrics.l1 < 0.05
@@ -357,12 +348,13 @@ class TestExactLogisticReference:
 
     @pytest.mark.parametrize("n_div,measured", [(400, 0.0240), (4000, 0.0328)])
     def test_midpoint_curve_distance_is_pinned(self, n_div, measured):
-        # compare's l1 of the midpoint curve against the exact histogram:
-        # a finer grid does not bring the curve closer to the truth
+        # l1 of the midpoint curve's bin averages against the exact
+        # histogram: a finer grid does not bring the curve closer to the truth
         map_def, spec, _ = experiment_defs()["logistic"]
         sm = sample_map(map_def, GridSpec(n_div))
         part = detect_extrema(sm)
         curve = pushforward_density(part, build_layer_table(part), build_unfolded(sm, part),
                                     spec, cells=500)
-        exact = self.exact_histogram(np.linspace(0.0, map_def.rate / 4.0, 201))
-        assert compare(curve, exact).l1 <= 1.1 * measured
+        edges = np.linspace(0.0, map_def.rate / 4.0, 201)
+        diff = bin_average(curve, edges) - self.exact_histogram(edges).heights
+        assert np.sum(np.abs(diff) * np.diff(edges)) <= 1.1 * measured
