@@ -231,13 +231,13 @@ def pushforward_density(
 
 
 def pushforward_cdf(p: MonotonePartition, um: UnfoldedMap, spec: DensitySpec, ys):
-    """F_Y(y) = P(g(X) <= y) at an array of y: each branch adds the input
-    mass from its start to the preimage of y, the branch offset of y
-    clipped to [0, |lambda_j|], so no index set is needed."""
+    """F_Y(y) = P(g(X) <= y) at an array of y: each branch adds its input
+    mass where g <= y, cut at the preimage of y's branch offset clipped
+    to [0, |lambda_j|], so no index set is needed."""
     total = 0.0
+    # a decreasing branch holds g <= y from the preimage to its end
+    starts = spec._raw_cdf(np.where(p.lambdas > 0, p.alphas[:-1], p.alphas[1:]))
     for j, lam in enumerate(p.lambdas):
         t = np.clip((ys - p.g_alphas[j]) * np.sign(lam), 0.0, abs(lam))
-        # a decreasing branch holds g <= y from the preimage to its end
-        start = spec._raw_cdf(p.alphas[j] if lam > 0 else p.alphas[j + 1])
-        total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - start)
+        total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - starts[j])
     return total / spec.normalization

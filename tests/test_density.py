@@ -108,11 +108,6 @@ class TestDensitySpec:
         assert np.allclose(spec._raw_cdf(xs) / spec.normalization, input_cdf(spec, xs),
                            rtol=0.0, atol=1e-14)
 
-    def test_raw_cdf_without_oscillation_is_linear(self):
-        spec = SinPlusTwo(alpha=-1.0, beta=2.0, omega=0.0)
-        xs = np.linspace(-1.0, 2.0, 101)
-        assert np.array_equal(spec._raw_cdf(xs), 2.0 * (xs + 1.0))
-
     def test_table_raw_cdf_is_the_fine_trapezoid(self):
         # knots past both ends of [alpha, beta], and kinks between the x
         spec = TableDensity(alpha=0.05, beta=0.95,
