@@ -117,8 +117,8 @@ def curve_mass(curve):
 
 def bin_average(curve, edges):
     """Bin heights of a curve: the equal-weight mean of its points in
-    each bin, as compare measured the midpoint curve before it read the
-    pushforward CDF.  Every bin must hold a point."""
+    each bin, a plain binning of the midpoint curve to measure it
+    against an exact histogram.  Every bin must hold a point."""
     nb = len(edges) - 1
     idx = np.clip(np.searchsorted(edges, curve.ys, side="right") - 1, 0, nb - 1)
     counts = np.bincount(idx, minlength=nb)
