@@ -162,14 +162,13 @@ def logistic_cdf(rate, iterations, spec, y):
 def table_cdf(table_map, spec, y):
     """Exact P(g(X) <= y) for a ``table`` map g and a ``uniform`` X.
 
-    g is linear between its knots, so each segment contributes the share
-    of its length where g <= y; a flat segment all or none of it.
+    g is linear and not flat between its knots, so each segment
+    contributes the share of its length where g <= y.
     """
     assert isinstance(spec, Uniform), type(spec).__name__
     x0, x1 = table_map.xs[:-1], table_map.xs[1:]
     g0, g1 = table_map.ys[:-1], table_map.ys[1:]
-    y = np.asarray(y, dtype=float)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.clip((y - g0) / (g1 - g0), 0.0, 1.0)
-    share = np.where(g1 > g0, share, np.where(g1 < g0, 1.0 - share, 1.0 * (g0 <= y)))
+    assert (g0 != g1).all(), "flat segment"
+    share = np.clip((np.asarray(y, dtype=float)[..., None] - g0) / (g1 - g0), 0.0, 1.0)
+    share = np.where(g1 > g0, share, 1.0 - share)
     return ((x1 - x0) * share).sum(axis=-1) / spec.normalization
