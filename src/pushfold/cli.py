@@ -211,7 +211,7 @@ def _partition_payload(part, table) -> dict:
 
 
 def _run_direct_stages(exp: Experiment):
-    """Sample, partition, unfold, evaluate; returns artifacts and timing."""
+    """Sample, partition, unfold, evaluate; returns part, um, curve, seconds."""
     t0 = time.perf_counter()
     sm = sample_map(exp.map_def, exp.grid)
     part = detect_extrema(sm)
@@ -220,7 +220,7 @@ def _run_direct_stages(exp: Experiment):
     curve = pushforward_density(part, table, um, exp.density,
                                 cells=exp.delta_cells, gprime=exp.gprime)
     elapsed = time.perf_counter() - t0
-    return sm, part, table, um, curve, elapsed
+    return part, um, curve, elapsed
 
 
 def cmd_partition(exp: Experiment, out_dir: str, threads: int) -> None:
@@ -245,7 +245,7 @@ def cmd_unfold(exp: Experiment, out_dir: str, threads: int) -> None:
 
 
 def cmd_density(exp: Experiment, out_dir: str, threads: int) -> None:
-    sm, part, table, um, curve, elapsed = _run_direct_stages(exp)
+    _, um, curve, elapsed = _run_direct_stages(exp)
     _write_csv(os.path.join(out_dir, "eta.csv"), "u,x",
                (um.knots_u, um.knots_x))
     _write_csv(os.path.join(out_dir, "mu_y.csv"), "y,mu_y,interval_id",
@@ -284,7 +284,7 @@ def cmd_mc(exp: Experiment, out_dir: str, threads: int) -> None:
 def cmd_compare(exp: Experiment, out_dir: str, threads: int) -> None:
     if exp.mc is None:
         raise ConfigError("config has no [mc] section; compare needs one")
-    sm, part, table, um, curve, direct_seconds = _run_direct_stages(exp)
+    part, um, curve, direct_seconds = _run_direct_stages(exp)
     hist, mc_seconds = _run_mc(exp, out_dir, threads)
     metrics = compare(pushforward_cdf(part, um, exp.density, hist.edges), hist)
     _write_csv(os.path.join(out_dir, "mu_y.csv"), "y,mu_y,interval_id",

@@ -9,21 +9,21 @@ the covering branches are known from the layer table, each branch
 contributes the input density at its local preimage times the
 inverse-map slope there, and the contributions sum.  The cell width is
 the range over a requested cell count, rounded per interval, and the
-curve mass is summed interval by interval as the cells fill.
+curve mass is summed interval by interval.
 Critical values themselves are never sampled (cell midpoints only), so
 the integrable singularities at interior extrema are represented by
 finite, grid-limited peaks.
 
-Within an interval the cells are evaluated in blocks of
-``PAIR_BLOCK // len(branches)`` (at least one): each block is a
-(covering branch x cell) grid with one row per branch in ascending
-order, evaluated by one preimage, one inverse and one slope call.  Each
-cell's terms are then added over the rows one after another, so every
-value is the sum over its branches in ascending order, whatever the
-block size.  A map with hundreds of branches thus costs a few array
-calls per interval, each branch's queries reach the inverse as one
-monotone run, and the temporaries stay bounded by the block size
-whatever the grid or branch count.
+The cells are evaluated in blocks of ``PAIR_BLOCK // n_branches``
+consecutive cells (at least one), which run across interval bounds.
+Each block takes its (covering branch x cell) pairs from the layer
+table, branch-major, and evaluates them by one preimage, one inverse and
+one slope call.  Each cell's terms are then added in pair order, so
+every value is the sum over its branches in ascending order, whatever
+the block size.  A map with hundreds of branches thus costs a few array
+calls per block whatever the interval count, each branch's queries in a
+block reach the inverse as one monotone run, and the temporaries stay
+bounded by the block size whatever the grid or branch count.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .unfold import UnfoldedMap, eta_derivative, eta_eval
 
 DEFAULT_CELLS = 500
 
-# Upper bound on the (branch, cell) pairs evaluated together; a cell
-# whose index set alone is larger forms a block of its own.
+# Upper bound on the (branch, cell) pairs evaluated together; a map
+# with more branches than this evaluates one cell per block.
 PAIR_BLOCK = 8192
 
 
@@ -119,21 +119,27 @@ class TableDensity(DensitySpec):
             raise ValueError("table weights must be nonnegative")
         if not (self.weights > 0).any():
             raise ValueError("table weights must not all be zero")
+        inner = self.xs[(self.xs > self.alpha) & (self.xs < self.beta)]
+        knots = np.concatenate([[self.alpha], inner, [self.beta]])
+        w = np.interp(knots, self.xs, self.weights)
+        # built once: the knots in [alpha, beta], their weights and the
+        # trapezoid sums below each; writable, as np.interp copies a
+        # read-only argument on every call
+        object.__setattr__(self, "_knots", (knots, w, np.append(
+            0.0, np.cumsum(np.diff(knots) * (w[:-1] + w[1:]) / 2.0))))
         super().__post_init__()
         self.xs.setflags(write=False)
         self.weights.setflags(write=False)
 
     def _raw(self, x):
-        return np.interp(x, self.xs, self.weights)
+        knots, w, _ = self._knots
+        return np.interp(x, knots, w)
 
     def _raw_cdf(self, x):
         """Trapezoids over the knots below x, exact for the interpolant."""
-        inner = self.xs[(self.xs > self.alpha) & (self.xs < self.beta)]
-        knots = np.concatenate([[self.alpha], inner, [self.beta]])
-        w = self._raw(knots)
-        below = np.cumsum(np.diff(knots) * (w[:-1] + w[1:]) / 2.0)
+        knots, w, below = self._knots
         k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
-        return np.append(0.0, below)[k] + (x - knots[k]) * (w[k] + self._raw(x)) / 2.0
+        return below[k] + (x - knots[k]) * (w[k] + self._raw(x)) / 2.0
 
 
 # config kind name -> density variant
@@ -184,50 +190,43 @@ def pushforward_density(
     if cells < 1:
         raise ValueError(f"need at least one cell, got {cells}")
     delta = (table.g_max - table.g_min) / cells
+    # every interval's cells at once; rint rounds half to even, as round does
+    lo, hi = table.values[:-1], table.values[1:]
+    n_cells = np.maximum(1.0, np.rint((hi - lo) / delta))
+    if not n_cells.sum() < 2.0 ** 63:  # the int cast would wrap
+        raise MemoryError(f"{cells} cells are more than an array can index")
+    n_cells = n_cells.astype(int)
+    step = (hi - lo) / n_cells
+    interval_ids = np.repeat(np.arange(len(n_cells)), n_cells)
+    firsts = np.cumsum(n_cells) - n_cells
+    local = np.arange(len(interval_ids)) - firsts[interval_ids]
+    ys = lo[interval_ids] + (local + 0.5) * step[interval_ids]
 
-    ys_out, mu_out, id_out = [], [], []
-    mass = 0.0
-    for i in range(len(table.values) - 1):
-        lo, hi = table.values[i], table.values[i + 1]
-        n_cells = max(1, int(round((hi - lo) / delta)))
-        step = (hi - lo) / n_cells
-        y = lo + (np.arange(n_cells) + 0.5) * step
-        branches = np.flatnonzero(table.covering[i]) + 1
-        acc = np.empty(n_cells)
-        per_block = max(1, PAIR_BLOCK // len(branches))
-        for start in range(0, n_cells, per_block):
-            block = slice(start, start + per_block)
-            # one row per covering branch; cell midpoints next to a
-            # collapsed critical value can sit just past its image
-            u = u_of_y(y[block], branches[:, None], p).ravel()
-            x = eta_eval(um, u)
-            if gprime is None:
-                jac = eta_derivative(um, u)
-            else:
-                with np.errstate(divide="ignore"):
-                    jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
-            # cumsum adds the rows one after another, ascending in j;
-            # sum(axis=0) may pair them up and round differently
-            terms = (spec.pdf(x) * jac).reshape(len(branches), -1)
-            acc[block] = terms.cumsum(axis=0)[-1]
-        mass += acc.sum() * step
-        ys_out.append(y)
-        mu_out.append(acc)
-        id_out.append(np.full(n_cells, i, dtype=int))
-
-    mass = float(mass)
+    mu_ys = np.empty(len(ys))
+    per_block = max(1, PAIR_BLOCK // p.n_branches)
+    for start in range(0, len(ys), per_block):
+        block = slice(start, start + per_block)
+        y = ys[block]
+        # (covering branch, cell) pairs, branch-major; cell midpoints next
+        # to a collapsed critical value can sit just past a branch image
+        j, cell = np.nonzero(table.covering[interval_ids[block]].T)
+        u = u_of_y(y[cell], j + 1, p)
+        x = eta_eval(um, u)
+        if gprime is None:
+            jac = eta_derivative(um, u)
+        else:
+            with np.errstate(divide="ignore"):
+                jac = 1.0 / np.abs(np.asarray(gprime(x), dtype=float))
+        # bincount adds each cell's terms in pair order, ascending in j
+        mu_ys[block] = np.bincount(cell, spec.pdf(x) * jac, len(y))
+    # summed per interval, as the sum over a slice of the curve
+    mass = float(sum(mu.sum() * h for mu, h in zip(np.split(mu_ys, firsts[1:]), step)))
     if not (math.isfinite(mass) and mass > 0.0):
         raise DegenerateInputError(
             f"pushforward curve mass {mass!r} is not finite and positive; "
             "the input density carries no weight at the sampled preimages")
-    return DensityCurve(
-        ys=np.concatenate(ys_out),
-        mu_ys=np.concatenate(mu_out),
-        interval_ids=np.concatenate(id_out),
-        edges=table.values,
-        delta=float(delta),
-        mass=mass,
-    )
+    return DensityCurve(ys=ys, mu_ys=mu_ys, interval_ids=interval_ids,
+                        edges=table.values, delta=float(delta), mass=mass)
 
 
 def pushforward_cdf(p: MonotonePartition, um: UnfoldedMap, spec: DensitySpec, ys):

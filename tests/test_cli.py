@@ -176,7 +176,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,edits", [
         ("partition", [("n_div = 400", "n_div = 100000000000000000")]),
         ("density", [("delta_cells = 500", "delta_cells = 100000000000000000")]),
-    ], ids=["n_div", "delta_cells"])
+        ("density", [("delta_cells = 500", f"delta_cells = {10 ** 30}")]),
+    ], ids=["n_div", "delta_cells", "delta_cells_past_int64"])
     def test_an_array_too_large_for_memory_is_a_config_error(self, tmp_path, capsys,
                                                              command, edits):
         # 8*10^17 bytes fit in no 64-bit address space, so numpy refuses

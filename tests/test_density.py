@@ -128,6 +128,15 @@ class TestDensitySpec:
     def test_normalization_is_the_raw_cdf_at_beta(self, spec):
         assert spec.normalization == spec._raw_cdf(spec.beta)
 
+    def test_table_raw_cdf_does_not_rebuild_the_knots(self):
+        # F_Y calls _raw_cdf once per branch, so the knots and their
+        # trapezoid sums are built once, not per call
+        xs = np.linspace(0.0, 1.0, 100_000)
+        spec = TableDensity(alpha=0.0, beta=1.0, xs=xs, weights=1.0 + xs ** 2)
+        value, peak = traced_peak(spec._raw_cdf, 0.3)
+        assert value == pytest.approx(0.3 + 0.3 ** 3 / 3.0, abs=1e-9)
+        assert peak < xs.nbytes, peak
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TableDensity(alpha=0.0, beta=1.0,
@@ -263,9 +272,9 @@ def reference_pushforward(p, t, um, spec, delta, gprime=None):
     return np.concatenate(mu_out)
 
 
-def assert_matches_reference(sm, spec, gprime=None):
+def assert_matches_reference(sm, spec, gprime=None, cells=density.DEFAULT_CELLS):
     """Blocked and per-branch evaluation agree bit for bit."""
-    p, t, um, curve = pipeline(sm, spec, gprime=gprime)
+    p, t, um, curve = pipeline(sm, spec, cells=cells, gprime=gprime)
     expected = reference_pushforward(p, t, um, spec, curve.delta, gprime)
     assert curve.mu_ys.tobytes() == expected.tobytes()
     return t, curve
@@ -315,11 +324,23 @@ class TestBlockedPushforward:
             checked += 1
         assert checked >= 30
 
+    @pytest.mark.parametrize("iterations, n_div, cells", [
+        (9, 20000, 1), (9, 20000, 37), (9, 20000, 5000),
+        (3, 10211, 1), (3, 10211, 37), (3, 10211, 500), (3, 10211, 5000),
+    ])
+    def test_cell_counts(self, iterations, n_div, cells):
+        # 288 branches give blocks of 28 cells and 8 branches of 1024:
+        # few cells make a block span intervals, many make most blocks
+        # end inside one; 10211 is an odd grid that straddles x = 1/2
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=iterations)
+        assert_matches_reference(sample_map(m, GridSpec(n_div)),
+                                 SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0), cells=cells)
+
     @pytest.mark.parametrize("budget", [1, 3, 5, 16, 4095])
     def test_block_boundaries(self, budget, monkeypatch):
-        # logistic third iterate: index sets of 2, 6 and 8 branches,
-        # so small budgets split intervals into many blocks and leave
-        # some points with more covering branches than the budget
+        # logistic third iterate: 8 branches and index sets of 2, 6 and
+        # 8, so small budgets give blocks of one cell, and budgets past 8
+        # blocks that end inside an interval or span several
         monkeypatch.setattr(density, "PAIR_BLOCK", budget)
         calls = []
         monkeypatch.setattr(density, "eta_eval",
@@ -328,12 +349,11 @@ class TestBlockedPushforward:
                         GridSpec(400))
         t, curve = assert_matches_reference(
             sm, SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0))
-        sizes = [len(s) for s in index_sets(t)]
-        assert sizes == [2, 6, 8]
-        per_block = [max(1, budget // k) for k in sizes]
-        blocks = [-(-n // b) for n, b in zip(np.bincount(curve.interval_ids), per_block)]
-        assert len(calls) == sum(blocks)
-        assert max(calls) <= max(budget, max(sizes))
+        assert [len(s) for s in index_sets(t)] == [2, 6, 8]
+        k = t.covering.shape[1]
+        assert k == 8
+        assert len(calls) == -(-len(curve.ys) // max(1, budget // k))
+        assert max(calls) <= max(budget, k)
 
     @pytest.mark.parametrize("cells", [500, 5000, 50000])
     def test_memory_is_bounded_by_the_block(self, cells):
