@@ -231,12 +231,12 @@ def pushforward_density(
 
 def pushforward_cdf(p: MonotonePartition, um: UnfoldedMap, spec: DensitySpec, ys):
     """F_Y(y) = P(g(X) <= y) at an array of y: each branch adds its input
-    mass where g <= y, cut at the preimage of y's branch offset clipped
-    to [0, |lambda_j|], so no index set is needed."""
-    total = 0.0
-    # a decreasing branch holds g <= y from the preimage to its end
-    starts = spec._raw_cdf(np.where(p.lambdas > 0, p.alphas[:-1], p.alphas[1:]))
-    for j, lam in enumerate(p.lambdas):
-        t = np.clip((ys - p.g_alphas[j]) * np.sign(lam), 0.0, abs(lam))
-        total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - starts[j])
+    mass between its preimages of -inf and of y, clipped to the branch's
+    unfolded span, so no index set is needed."""
+    def raw_cdf_at_preimage(y, j):
+        u = np.clip(u_of_y(y, j, p), p.masses[j - 1], p.masses[j])
+        return spec._raw_cdf(eta_eval(um, u))
+    branches = np.arange(1, p.n_branches + 1)
+    starts = raw_cdf_at_preimage(-np.inf, branches)
+    total = sum(np.abs(raw_cdf_at_preimage(ys, j) - starts[j - 1]) for j in branches)
     return total / spec.normalization

@@ -193,8 +193,8 @@ class TableMap(MapDefinition):
             raise ValueError("table x values must be strictly increasing")
         if self.xs[0] != self.alpha or self.xs[-1] != self.beta:
             raise ValueError("table samples must span [alpha, beta] exactly")
-        self.xs.setflags(write=False)
-        self.ys.setflags(write=False)
+        # the columns stay writable: np.interp copies a read-only
+        # argument on every eval_map call
 
     def _eval(self, x):
         return np.interp(x, self.xs, self.ys)
@@ -311,7 +311,7 @@ def sample_map(map_def: MapDefinition, grid: GridSpec) -> SampledMap:
     """Evaluate a map on the uniform grid and record its sampled range.
 
     Raises FloatingPointError naming the first grid point whose map
-    value is not finite.
+    value is not finite, or the range g_max - g_min if that overflows.
     """
     xs = np.linspace(map_def.alpha, map_def.beta, grid.n_div + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,9 +321,7 @@ def sample_map(map_def: MapDefinition, grid: GridSpec) -> SampledMap:
         i = np.argmin(finite)
         raise FloatingPointError(
             f"g(x) = {float(ys[i])!r} is not finite at x = {float(xs[i])!r}")
-    return SampledMap(
-        xs=xs,
-        ys=ys,
-        g_min=float(ys.min()),
-        g_max=float(ys.max()),
-    )
+    g_min, g_max = float(ys.min()), float(ys.max())
+    if not math.isfinite(g_max - g_min):
+        raise FloatingPointError(f"range g_max - g_min = {g_max - g_min!r} is not finite")
+    return SampledMap(xs=xs, ys=ys, g_min=g_min, g_max=g_max)

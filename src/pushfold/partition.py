@@ -110,6 +110,9 @@ class LayerTable:
         return float(self.values[-1])
 
 
+# a product of differences that overflows keeps its sign as +-inf, and
+# an overflowing total variation is rejected
+@np.errstate(over="ignore")
 def detect_extrema(sm: SampledMap) -> MonotonePartition:
     """Locate branch boundaries of a sampled map in two linear passes.
 
@@ -120,7 +123,8 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
     MERGE_TOL * (g_max - g_min) is dropped, so the short branch joins its
     right neighbour; while the last branch is short, its left bound is
     dropped instead.  Of the bounds left, only those where the direction
-    turns are kept.
+    turns are kept.  Raises FloatingPointError if the total variation
+    overflows.
     """
     ys = sm.ys
     value_range = sm.g_max - sm.g_min
@@ -144,14 +148,16 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
     lam = np.diff(ys[idx])
     indices = np.delete(idx, np.flatnonzero(lam[:-1] * lam[1:] > 0.0) + 1)
     lam = np.diff(ys[indices])
-    if np.all(np.abs(lam) < tol):
-        raise DegenerateInputError("all branches merged away")
+    masses = np.concatenate([[0.0], np.cumsum(np.abs(lam))])
+    if not np.isfinite(masses[-1]):
+        raise FloatingPointError(
+            f"total variation {float(masses[-1])!r} of the sampled map is not finite")
     return MonotonePartition(
         alphas=sm.xs[indices],
         alpha_indices=indices,
         g_alphas=ys[indices],
         lambdas=lam,
-        masses=np.concatenate([[0.0], np.cumsum(np.abs(lam))]),
+        masses=masses,
     )
 
 

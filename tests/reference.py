@@ -14,6 +14,7 @@ import numpy as np
 
 from pushfold import RangeError, SinPlusTwo, Uniform
 from pushfold.partition import DEFAULT_VALUE_TOL, PREIMAGE_KINDS
+from pushfold.unfold import eta_eval
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,3 +173,16 @@ def table_cdf(table_map, spec, y):
     share = np.clip((np.asarray(y, dtype=float)[..., None] - g0) / (g1 - g0), 0.0, 1.0)
     share = np.where(g1 > g0, share, 1.0 - share)
     return ((x1 - x0) * share).sum(axis=-1) / spec.normalization
+
+
+def offset_cdf(p, um, spec, ys):
+    """F_Y with each branch direction written out: the preimage offset
+    (y - g(a_{j-1}))*sign(lambda_j) is clipped to [0, |lambda_j|], and the
+    branch start term is F_X at a_{j-1} for an increasing branch and at
+    a_j for a decreasing one."""
+    starts = spec._raw_cdf(np.where(p.lambdas > 0, p.alphas[:-1], p.alphas[1:]))
+    total = 0.0
+    for j, lam in enumerate(p.lambdas):
+        t = np.clip((ys - p.g_alphas[j]) * np.sign(lam), 0.0, abs(lam))
+        total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - starts[j])
+    return total / spec.normalization

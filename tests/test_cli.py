@@ -331,6 +331,15 @@ class TestConfigDefects:
         err = assert_config_error(tmp_path, capsys, cfg)
         assert f"unknown keys in [density]: ['{key.split()[0]}']" in err
 
+    @pytest.mark.parametrize("kind", ["duffing", "pendulum"])
+    @pytest.mark.parametrize("key", ["step = 0", "step = -1/10", "t_final = 0"])
+    def test_non_positive_step_or_time(self, tmp_path, capsys, kind, key):
+        body = "\n".join(key if line.startswith(key.split()[0] + " ") else line
+                         for line in MAP_SECTIONS[kind].splitlines()) + "\n"
+        cfg = variant_config(tmp_path, body, DENSITY_SECTIONS["uniform"])
+        err = assert_config_error(tmp_path, capsys, cfg)
+        assert "bad [map] section: step and t_final must be positive" in err
+
     @pytest.mark.parametrize("map_kind,density_kind", [
         *((kind, "uniform") for kind in sorted(MAP_SECTIONS)),
         *(("logistic", kind) for kind in sorted(DENSITY_SECTIONS)),
@@ -650,6 +659,86 @@ n_div = 20
         assert run(command, "--config", cfg, "--out", tmp_path / "o") == 3
         assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# a table map sampled on its five knots; (i)-(iv) overflow the total
+# variation or the range, (v) stays finite
+OVERFLOW_ROWS = {
+    "i": ("0,1e308,0,1e308,0", "total variation inf of the sampled map is not finite"),
+    "ii": ("0,1.5e308,0,0,0", "total variation inf of the sampled map is not finite"),
+    "iii": ("-0.8e308,1e308,0.95e308,0.9e308,0.9e308", "range g_max - g_min = inf is not finite"),
+    "iv": ("0,1e308,0.5e308,1.7e308,0", "total variation inf of the sampled map is not finite"),
+    "v": ("0,1e200,0,1e200,0", None),
+}
+
+
+def json_numbers(value):
+    """Every number in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in json_numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+def overflow_config(tmp_path, case):
+    ys = OVERFLOW_ROWS[case][0].split(",")
+    (tmp_path / "m.csv").write_text(
+        "x,y\n" + "".join(f"{k / 4},{y}\n" for k, y in enumerate(ys)))
+    return write_config(tmp_path / "m.cfg", """\
+[map]
+kind = table
+path = m.csv
+
+[density]
+kind = uniform
+
+[grid]
+n_div = 4
+
+[mc]
+n_samples = 1000
+n_bins = 10
+seed = 1
+""")
+
+
+class TestOverflowingTableMap:
+    """A range or total variation past the float range exits 4 naming
+    it; values that stay inside it run without a warning."""
+
+    @pytest.mark.parametrize("command", ["partition", "unfold", "density", "compare"])
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+    def test_names_what_overflows(self, tmp_path, capsys, recwarn, command, case):
+        cfg = overflow_config(tmp_path, case)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {OVERFLOW_ROWS[case][1]}\n"), err
+        assert list((tmp_path / "o").iterdir()) == []
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("case,code", [("i", 0), ("ii", 0), ("iii", 4), ("iv", 0)])
+    def test_monte_carlo_needs_only_the_range(self, tmp_path, capsys, recwarn, case, code):
+        cfg = overflow_config(tmp_path, case)
+        assert run("mc", "--config", cfg, "--out", tmp_path / "o") == code
+        if code:
+            assert OVERFLOW_ROWS[case][1] in capsys.readouterr().err
+        else:
+            _, heights = read_hist_csv(tmp_path / "o" / "hist.csv")
+            assert np.isfinite(heights).all()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["partition", "unfold", "density", "mc", "compare"])
+    def test_large_finite_values_run(self, tmp_path, recwarn, command):
+        cfg = overflow_config(tmp_path, "v")
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
+        for path in (tmp_path / "o").iterdir():
+            if path.suffix == ".csv":
+                values = np.loadtxt(path, delimiter=",", skiprows=1)
+            else:
+                values = np.array(json_numbers(json.loads(path.read_text())), dtype=float)
+            assert np.isfinite(values).all(), path.name
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

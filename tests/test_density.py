@@ -15,6 +15,7 @@ from reference import (
     index_sets,
     input_cdf,
     logistic_cdf,
+    offset_cdf,
     simpson_integral,
     table_cdf,
 )
@@ -153,6 +154,21 @@ class TestDensitySpec:
         with pytest.raises(ValueError):
             TableDensity(alpha=0.0, beta=1.0,
                          xs=np.array([0.0, 1.0]), weights=np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_domain_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"need alpha < beta, got \["):
+            Uniform(alpha=alpha, beta=beta)
+
+    def test_table_columns_must_match(self):
+        with pytest.raises(ValueError, match="matching x/weight columns"):
+            TableDensity(alpha=0.0, beta=1.0,
+                         xs=np.array([0.0, 0.5, 1.0]), weights=np.array([1.0, 1.0]))
+
+    def test_table_x_must_increase(self):
+        with pytest.raises(ValueError, match="x values must be strictly increasing"):
+            TableDensity(alpha=0.0, beta=1.0,
+                         xs=np.array([0.0, 0.5, 0.5, 1.0]), weights=np.ones(4))
 
     def test_kind_tables_name_every_class(self):
         def leaves(cls):
@@ -424,6 +440,21 @@ class TestPushforwardCdf:
         assert cdf[0] == 0.0
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf) >= 0.0)
+
+    @pytest.mark.parametrize("name", list(cdf_cases()))
+    def test_equals_the_branch_direction_form_to_the_bit(self, name):
+        # clipping each preimage to the branch's unfolded span is the
+        # signed offset clipped to the branch image, and the preimage of
+        # -inf is the branch start, so the two forms round alike
+        map_def, spec, grid = cdf_cases()[name]
+        sm, p, um = self.unfolded(map_def, grid)
+        width = sm.g_max - sm.g_min
+        for ys in (np.linspace(sm.g_min - 0.1 * width, sm.g_max + 0.1 * width, 2001),
+                   p.g_alphas, np.array([sm.g_min]), np.array([sm.g_max])):
+            assert (pushforward_cdf(p, um, spec, ys).tobytes()
+                    == offset_cdf(p, um, spec, ys).tobytes())
+        y = 0.5 * (sm.g_min + sm.g_max)
+        assert pushforward_cdf(p, um, spec, y) == offset_cdf(p, um, spec, y)
 
     @pytest.mark.parametrize("n_div,exact", [(400, True), (1000, False)])
     def test_table_map_on_its_own_knots_is_exact(self, n_div, exact):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pushfold import (
     DivergenceError,
@@ -118,6 +119,18 @@ class TestIntegrateIvp:
         a = integrate_ivp(sys, 0.0, 1.0, 1.0, 0.3)
         b = integrate_ivp(sys, 0.0, 1.0, 1.0, 0.25)
         assert a == b
+
+    @pytest.mark.parametrize("t_final,step", [(5.0, 0.0), (5.0, -0.1), (0.0, 0.1)])
+    def test_non_positive_step_or_time_rejected(self, t_final, step):
+        sys = Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0)
+        with pytest.raises(ValueError, match="step and t_final must be positive"):
+            integrate_ivp(sys, 0.0, 1.0, t_final, step)
+
+    @pytest.mark.parametrize("kind", [Duffing, Pendulum])
+    @pytest.mark.parametrize("t_final,step", [(5.0, 0.0), (5.0, -0.1), (0.0, 0.1), (-5.0, 0.1)])
+    def test_second_order_needs_positive_step_and_time(self, kind, t_final, step):
+        with pytest.raises(ValueError, match="step and t_final must be positive"):
+            kind(alpha=0.0, beta=1.0, t_final=t_final, step=step)
 
     def test_step_count_rule(self):
         # exact divisions are not inflated by float noise; fractional
@@ -322,6 +335,13 @@ class TestSampleMap:
             sample_map(m, GridSpec(200))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_names_an_overflowing_range(self, recwarn):
+        m = TableMap.from_samples(np.linspace(0.0, 1.0, 5),
+                                  [-0.8e308, 1e308, 0.95e308, 0.9e308, 0.9e308])
+        with pytest.raises(FloatingPointError, match=r"^range g_max - g_min = inf is not finite$"):
+            sample_map(m, GridSpec(4))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_grid_spec_minimum(self):
         with pytest.raises(ValueError):
             GridSpec(3)
@@ -367,3 +387,16 @@ class TestTableMap:
         with pytest.raises(ValueError):
             TableMap(alpha=0.0, beta=2.0,
                      xs=np.array([0.0, 1.0]), ys=np.array([0.0, 1.0]))
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="matching x/y columns"):
+            TableMap.from_samples([0.0, 0.5, 1.0], [0.0, 1.0])
+
+    def test_evaluation_does_not_copy_the_columns(self):
+        # np.interp copies a read-only argument on every call, so one
+        # point of a long table must cost less than one column
+        xs = np.linspace(0.0, 1.0, 100_001)
+        m = TableMap.from_samples(xs, xs ** 2)
+        value, peak = traced_peak(eval_map, m, 0.5)
+        assert value == pytest.approx(0.25)
+        assert peak < m.xs.nbytes, peak

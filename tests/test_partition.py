@@ -12,6 +12,8 @@ from conftest import (
     ripple_map,
     traced_peak,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     BoundaryClassification,
     classifications,
@@ -273,6 +275,44 @@ class TestFlagPieces:
         for name, sm in fine_grid_maps().items():
             _, peak = traced_peak(detect_extrema, sm)
             assert peak < sm.ys.nbytes, (name, peak, sm.ys.nbytes)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), min_size=3, max_size=40),
+       st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+def test_every_branch_moves_at_least_the_merge_tolerance(levels, scale, seed):
+    # so with a finite range some branch is always left, and no grid
+    # needs an "all branches merged away" exit
+    sm = make_sampled(np.arange(len(levels)),
+                      jittered(np.random.default_rng(seed), levels, scale))
+    if sm.g_max == sm.g_min:
+        with pytest.raises(DegenerateInputError, match="constant"):
+            detect_extrema(sm)
+        return
+    p = detect_extrema(sm)
+    assert np.all(np.abs(p.lambdas) >= partition.MERGE_TOL * (sm.g_max - sm.g_min))
+
+
+class TestOverflow:
+    """Values near the float range partition without a warning, and a
+    total variation past it is named."""
+
+    def test_products_past_the_float_range_keep_their_sign(self, recwarn):
+        sm = make_sampled(np.arange(5.0), [0.0, 1e200, 0.0, 1e200, 0.0])
+        p = detect_extrema(sm)
+        assert p.alpha_indices.tolist() == [0, 1, 2, 3, 4]
+        assert p.total_variation == 4e200
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("ys", [[0.0, 1e308, 0.0, 1e308, 0.0],
+                                    [0.0, 1.5e308, 0.0, 0.0, 0.0],
+                                    [0.0, 1e308, 0.5e308, 1.7e308, 0.0]])
+    def test_overflowing_total_variation_is_named(self, recwarn, ys):
+        sm = make_sampled(np.arange(5.0), ys)
+        with pytest.raises(FloatingPointError,
+                           match=r"^total variation inf of the sampled map is not finite$"):
+            detect_extrema(sm)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_jitter_on_a_flat_half_partitions_in_linear_time():
