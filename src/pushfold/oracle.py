@@ -1,7 +1,7 @@
-"""Monte Carlo baseline: sample the input density, push the samples
-through the map, and estimate the output density from a normalized
-histogram.  ``compare`` measures it against the exact bin masses of the
-direct path's pushforward CDF.
+"""Monte Carlo baseline: sample the input density by inverting its exact
+CDF, push the samples through the map, and estimate the output density
+from a normalized histogram.  ``compare`` measures it against the exact
+bin masses of the direct path's pushforward CDF.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensitySpec
-from .errors import DegenerateInputError
 from .maps import GridSpec, MapDefinition, eval_map, sample_map
 
 CDF_GRID_POINTS = 4096
@@ -55,15 +54,14 @@ class McConfig:
 class Histogram:
     """Uniform-bin density estimate over the sampled map range.
 
-    heights[i] = count_i / (n_samples * bin width); mass is the binned
-    sample fraction; clamped_fraction the share of pushforward values
-    that fell marginally outside the scanned range and were clamped
-    into the boundary bins.
+    heights[i] = count_i / (n_samples * bin width); clamped_fraction is
+    the share of pushforward values that fell marginally outside the
+    scanned range and were clamped into the boundary bins, so every
+    sample is binned.
     """
 
     edges: np.ndarray
     heights: np.ndarray
-    mass: float
     clamped_fraction: float
 
     def __post_init__(self):
@@ -72,26 +70,19 @@ class Histogram:
 
 
 class InverseCdfSampler:
-    """Draw from a density spec by inverting its numeric CDF.
+    """Draw from a density spec by inverting its exact CDF.
 
-    The CDF is accumulated by the trapezoid rule on a uniform grid of
-    CDF_GRID_POINTS points and inverted by monotone linear interpolation
-    of uniform deviates; the stream is fully determined by the seed.
+    The spec's exact CDF is taken on a uniform grid of CDF_GRID_POINTS
+    points and inverted by monotone linear interpolation of uniform
+    deviates; the stream is fully determined by the seed.
     Each deviate takes one PCG64 output, so ``start`` skips the stream's
     first ``start`` draws.
     """
 
     def __init__(self, spec: DensitySpec, seed: int, start: int = 0):
         xs = np.linspace(spec.alpha, spec.beta, CDF_GRID_POINTS)
-        pdf = np.asarray(spec.pdf(xs), dtype=float)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
-        if not (np.isfinite(cdf[-1]) and cdf[-1] > 0.0):
-            raise DegenerateInputError(
-                f"numeric CDF total {float(cdf[-1])!r} is not finite and positive; "
-                "the input density carries no weight on the CDF grid")
-        cdf /= cdf[-1]
         self._xs = xs
-        self._cdf = cdf
+        self._cdf = spec._raw_cdf(xs) / spec.normalization
         self._rng = np.random.Generator(np.random.PCG64(seed).advance(start))
 
     def draw(self, n: int) -> np.ndarray:
@@ -165,7 +156,6 @@ def mc_density(
     return Histogram(
         edges=edges,
         heights=heights,
-        mass=float(counts.sum() / cfg.n_samples),
         clamped_fraction=float(clamped / cfg.n_samples),
     )
 

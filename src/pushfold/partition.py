@@ -110,15 +110,16 @@ class LayerTable:
         return float(self.values[-1])
 
 
-# a product of differences that overflows keeps its sign as +-inf, and
-# an overflowing total variation is rejected
+# an overflowing total variation is rejected below
 @np.errstate(over="ignore")
 def detect_extrema(sm: SampledMap) -> MonotonePartition:
     """Locate branch boundaries of a sampled map in two linear passes.
 
-    Every interior grid point where adjacent first differences have a
-    product <= 0 is flagged, plateaus and flat pairs included; the grid
-    is scanned in pieces of FLAG_PIECE points.  Left to
+    Every interior grid point where the signs of adjacent first
+    differences have a product <= 0 is flagged, plateaus and flat pairs
+    included; the grid is scanned in pieces of FLAG_PIECE points.  Signs,
+    not the differences themselves, are multiplied, so a product that
+    would underflow to zero never reads as a turn.  Left to
     right, a flag that would close a branch moving less than
     MERGE_TOL * (g_max - g_min) is dropped, so the short branch joins its
     right neighbour; while the last branch is short, its left bound is
@@ -135,8 +136,8 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
     idx = [0]
     for start in range(0, len(ys) - 2, FLAG_PIECE):
         # the interior points start + 1 .. start + FLAG_PIECE
-        d = np.diff(ys[start:start + FLAG_PIECE + 2])
-        for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + (start + 1)).tolist():
+        s = np.sign(np.diff(ys[start:start + FLAG_PIECE + 2]))
+        for t in (np.flatnonzero(s[:-1] * s[1:] <= 0.0) + (start + 1)).tolist():
             if abs(ys[t] - ys[idx[-1]]) >= tol:
                 idx.append(t)
     while len(idx) > 1 and abs(ys[-1] - ys[idx[-1]]) < tol:
@@ -145,8 +146,8 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
 
     # Joining two branches of one direction never makes a short branch,
     # so the bounds between them all go at once.
-    lam = np.diff(ys[idx])
-    indices = np.delete(idx, np.flatnonzero(lam[:-1] * lam[1:] > 0.0) + 1)
+    s = np.sign(np.diff(ys[idx]))
+    indices = np.delete(idx, np.flatnonzero(s[:-1] * s[1:] > 0.0) + 1)
     lam = np.diff(ys[indices])
     masses = np.concatenate([[0.0], np.cumsum(np.abs(lam))])
     if not np.isfinite(masses[-1]):
@@ -217,7 +218,8 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
     for t in range(1, len(sorted_vals)):
         if sorted_vals[t] - sorted_vals[starts[-1]] > tol_abs:
             starts.append(t)
-    values = np.array([vals.mean() for vals in np.split(sorted_vals, starts[1:])])
+    # halves first, so that no sum passes the largest float
+    values = np.array([2.0 * (0.5 * vals).mean() for vals in np.split(sorted_vals, starts[1:])])
     values[0], values[-1] = g_min, g_max
     member_of = np.empty(len(ga), dtype=int)
     member_of[order] = np.searchsorted(starts, np.arange(len(ga)), side="right") - 1
@@ -233,7 +235,7 @@ def build_layer_table(p: MonotonePartition, value_tol: float = DEFAULT_VALUE_TOL
         )
 
     branches = np.arange(1, p.n_branches + 1)
-    midpoints = 0.5 * (values[:-1] + values[1:])
+    midpoints = 0.5 * values[:-1] + 0.5 * values[1:]
     covering = layer_membership(midpoints[:, None], branches, p)
     uncovered = ~covering.any(axis=1)
     if uncovered.any():

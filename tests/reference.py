@@ -75,7 +75,7 @@ def index_set(y, table, p):
 def midpoints(table):
     """Centers of the open intervals between consecutive critical values,
     the points build_layer_table evaluates the index sets at."""
-    return 0.5 * (table.values[:-1] + table.values[1:])
+    return 0.5 * table.values[:-1] + 0.5 * table.values[1:]
 
 
 def value_tol_abs(table, value_tol=DEFAULT_VALUE_TOL):

@@ -613,6 +613,17 @@ class TestBlockWriter:
         assert abs(large - small) <= block_bytes, (small, large, block_bytes)
 
 
+def spike_config(tmp_path):
+    """logistic3 under a table density whose mass is a spike at x = 0.5,
+    strictly between two points of the sampler's CDF grid."""
+    (tmp_path / "w.csv").write_text(
+        "x,w\n0,0\n0.49999,0\n0.5,1\n0.50001,0\n1,0\n")
+    return write_config(tmp_path / "spike.cfg", reference_config("logistic3", [
+        ("kind = sin_plus_two\nomega = 5", "kind = table\npath = w.csv"),
+        ("n_samples = 1000000", "n_samples = 100000"),
+    ]))
+
+
 class TestDegenerateInput:
     def test_constant_map_exits_3(self, tmp_path):
         rows = "x,y\n" + "".join(f"{v},1.0\n" for v in np.linspace(0, 1, 21))
@@ -641,35 +652,46 @@ n_div = 20
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command,message", [
-        ("mc", "numeric CDF total 0.0 is not finite and positive"),
         ("compare", "pushforward curve mass 0.0 is not finite and positive"),
         ("density", "pushforward curve mass 0.0 is not finite and positive"),
     ])
     def test_mass_between_grid_points_exits_3(self, tmp_path, capsys, recwarn,
                                               command, message):
         # the spike at 0.5 has positive exact mass, so normalization
-        # succeeds, but it sits between the CDF grid points and every
-        # preimage
-        (tmp_path / "w.csv").write_text(
-            "x,w\n0,0\n0.49999,0\n0.5,1\n0.50001,0\n1,0\n")
-        cfg = write_config(tmp_path / "spike.cfg", reference_config("logistic3", [
-            ("kind = sin_plus_two\nomega = 5", "kind = table\npath = w.csv"),
-            ("n_samples = 1000000", "n_samples = 100000"),
-        ]))
+        # succeeds, but it sits between every preimage
+        cfg = spike_config(tmp_path)
         assert run(command, "--config", cfg, "--out", tmp_path / "o") == 3
         assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_monte_carlo_samples_a_spike_between_grid_points(self, tmp_path, capsys, recwarn):
+        # the sampler inverts the exact CDF, so the spike's mass is drawn
+        # although it sits between two of its grid points
+        cfg = spike_config(tmp_path)
+        assert run("mc", "--config", cfg, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+        edges, heights = read_hist_csv(tmp_path / "o" / "hist.csv")
+        g_half = 0.5  # three logistic steps from x = 0.5
+        for _ in range(3):
+            g_half = 3.9 * g_half * (1.0 - g_half)
+        (full,) = np.flatnonzero(heights)
+        assert edges[full] <= g_half < edges[full + 1]
+        assert heights[full] * (edges[full + 1] - edges[full]) == pytest.approx(1.0, abs=1e-12)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 # a table map sampled on its five knots; (i)-(iv) overflow the total
-# variation or the range, (v) stays finite
+# variation or the range, (v) and (vi) stay finite, and the products of
+# the differences of (vii) underflow
 OVERFLOW_ROWS = {
     "i": ("0,1e308,0,1e308,0", "total variation inf of the sampled map is not finite"),
     "ii": ("0,1.5e308,0,0,0", "total variation inf of the sampled map is not finite"),
     "iii": ("-0.8e308,1e308,0.95e308,0.9e308,0.9e308", "range g_max - g_min = inf is not finite"),
     "iv": ("0,1e308,0.5e308,1.7e308,0", "total variation inf of the sampled map is not finite"),
     "v": ("0,1e200,0,1e200,0", None),
+    "vi": ("0.9e308,1e308,0.9e308,1e308,0.9e308", None),
+    "vii": ("0,1e-200,2e-200,1e-200,0", None),
 }
 
 
@@ -704,6 +726,20 @@ seed = 1
 """)
 
 
+def assert_runs_finite(tmp_path, recwarn, command, case):
+    """command exits 0 on an overflow row, writing only finite numbers
+    and warning nothing."""
+    cfg = overflow_config(tmp_path, case)
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
+    for path in (tmp_path / "o").iterdir():
+        if path.suffix == ".csv":
+            values = np.loadtxt(path, delimiter=",", skiprows=1)
+        else:
+            values = np.array(json_numbers(json.loads(path.read_text())), dtype=float)
+        assert np.isfinite(values).all(), path.name
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestOverflowingTableMap:
     """A range or total variation past the float range exits 4 naming
     it; values that stay inside it run without a warning."""
@@ -731,15 +767,20 @@ class TestOverflowingTableMap:
 
     @pytest.mark.parametrize("command", ["partition", "unfold", "density", "mc", "compare"])
     def test_large_finite_values_run(self, tmp_path, recwarn, command):
-        cfg = overflow_config(tmp_path, "v")
-        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
-        for path in (tmp_path / "o").iterdir():
-            if path.suffix == ".csv":
-                values = np.loadtxt(path, delimiter=",", skiprows=1)
-            else:
-                values = np.array(json_numbers(json.loads(path.read_text())), dtype=float)
-            assert np.isfinite(values).all(), path.name
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert_runs_finite(tmp_path, recwarn, command, "v")
+
+    @pytest.mark.parametrize("command", ["partition", "unfold", "density", "mc", "compare"])
+    def test_values_near_the_largest_float_run(self, tmp_path, recwarn, command):
+        # the sum of the 0.9e308 cluster and of two neighbouring critical
+        # values passes the largest float; their means do not
+        assert_runs_finite(tmp_path, recwarn, command, "vi")
+
+    def test_values_near_the_smallest_float_partition_like_unscaled(self, tmp_path):
+        # products of the differences of (vii) underflow to zero
+        cfg = overflow_config(tmp_path, "vii")
+        assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 0
+        payload = json.loads((tmp_path / "o" / "partition.json").read_text())
+        assert (payload["k"], payload["ell"]) == (2, 1)
 
 
 class TestNumericalFailure:

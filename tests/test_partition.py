@@ -66,6 +66,18 @@ class TestDetectExtrema:
         fine_count = int(np.sum(d[:-1] * d[1:] <= 0.0))
         assert coarse.n_branches - 1 == fine_count
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160])
+    @pytest.mark.parametrize("shape", ["parabola", "tent"])
+    def test_branches_do_not_depend_on_the_scale(self, shape, scale):
+        # products of differences at these scales underflow to zero; the
+        # signs of the differences do not
+        xs = np.linspace(-1.0, 1.0, 401)
+        ys = xs ** 2 if shape == "parabola" else 1.0 - np.abs(xs)
+        scaled = scale * ys
+        assert np.abs(scaled[scaled != 0.0]).min() >= np.finfo(float).tiny
+        expected = detect_extrema(make_sampled(xs, ys)).alpha_indices
+        assert np.array_equal(detect_extrema(make_sampled(xs, scaled)).alpha_indices, expected)
+
     def test_constant_map_is_degenerate(self):
         sm = make_sampled(np.linspace(0, 1, 5), np.full(5, 2.0))
         with pytest.raises(DegenerateInputError):
@@ -122,7 +134,8 @@ def reference_detect_extrema(sm):
     kept = np.flatnonzero(~plateau)
     d = np.diff(ys[kept])
     flagged = [0]
-    for t in (np.flatnonzero(d[:-1] * d[1:] <= 0.0) + 1).tolist():
+    s = np.sign(d)
+    for t in (np.flatnonzero(s[:-1] * s[1:] <= 0.0) + 1).tolist():
         if t > 1 and flagged[-1] == t - 1 and d[t - 1] == 0.0:
             # flat pair: the earlier index already represents it
             continue
@@ -142,7 +155,7 @@ def reference_detect_extrema(sm):
                 break
         if kill is None:
             for j in range(len(lam) - 1):
-                if lam[j] * lam[j + 1] > 0.0:
+                if np.sign(lam[j]) * np.sign(lam[j + 1]) > 0.0:
                     kill = j + 1
                     break
         if kill is None:
@@ -264,12 +277,12 @@ class TestFlagPieces:
 
     @pytest.mark.parametrize("piece", [1, 2, 3])
     def test_underflowing_products_flag_across_pieces(self, monkeypatch, piece):
-        # 1e-300 * 1e-300 rounds to zero, so point 2 is flagged inside a
-        # rising run and, kept, makes the flag at the 5e-10 peak too short
+        # 1e-300 * 1e-300 rounds to zero, but the signs of the differences
+        # still rise through point 2, so only the 5e-10 peak is flagged
         monkeypatch.setattr(partition, "FLAG_PIECE", piece)
         sm = make_sampled(np.arange(7), [-1.0, -1e-300, 0.0, 1e-300, 2e-300, 5e-10, -1.0])
         assert_matches_reference(sm)
-        assert detect_extrema(sm).alpha_indices.tolist() == [0, 2, 6]
+        assert detect_extrema(sm).alpha_indices.tolist() == [0, 5, 6]
 
     def test_peak_below_one_grid_array(self):
         for name, sm in fine_grid_maps().items():
@@ -304,6 +317,14 @@ class TestOverflow:
         assert p.total_variation == 4e200
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_clusters_and_midpoints_near_the_largest_float(self, recwarn):
+        sm = make_sampled(np.arange(5.0), [0.9e308, 1e308, 0.9e308, 1e308, 0.9e308])
+        table = build_layer_table(detect_extrema(sm))
+        assert np.array_equal(table.values, [0.9e308, 1e308])
+        assert np.array_equal(midpoints(table), [0.95e308])
+        assert table.covering.all() and transition_check(table)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("ys", [[0.0, 1e308, 0.0, 1e308, 0.0],
                                     [0.0, 1.5e308, 0.0, 0.0, 0.0],
                                     [0.0, 1e308, 0.5e308, 1.7e308, 0.0]])
@@ -313,6 +334,21 @@ class TestOverflow:
                            match=r"^total variation inf of the sampled map is not finite$"):
             detect_extrema(sm)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(2.0 ** -1020, 2.0 ** 1015),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.booleans())
+def test_cluster_means_are_the_plain_means(base, offsets, negate):
+    # the images 0, v_1, 0, v_2, ..., v_k, 0, 2 * base: the v_i form the
+    # one middle cluster, whose value is their mean; their halves and
+    # sums stay normal floats
+    vs = base * (1.0 + 1e-3 * np.array(offsets))
+    ys = np.append(np.column_stack([np.zeros_like(vs), vs]).ravel(), [0.0, 2.0 * base])
+    sign = -1.0 if negate else 1.0
+    table = build_layer_table(detect_extrema(make_sampled(np.arange(len(ys)), sign * ys)))
+    assert len(table.values) == 3
+    assert table.values[1].tobytes() == np.sort(sign * vs).mean().tobytes()
 
 
 def test_jitter_on_a_flat_half_partitions_in_linear_time():
