@@ -186,3 +186,61 @@ def offset_cdf(p, um, spec, ys):
         t = np.clip((ys - p.g_alphas[j]) * np.sign(lam), 0.0, abs(lam))
         total += np.abs(spec._raw_cdf(eta_eval(um, p.masses[j] + t)) - starts[j])
     return total / spec.normalization
+
+
+def _cell_queries(sm, y, side):
+    """(cell, query) pairs of the cells whose value range [lo, hi) holds
+    the query, or [lo, hi] with side "right"; a flat cell holds none."""
+    lo = np.minimum(sm.ys[:-1], sm.ys[1:])
+    hi = np.maximum(sm.ys[:-1], sm.ys[1:])
+    by_y = np.argsort(y, kind="stable")
+    first = np.searchsorted(y[by_y], lo, side="left")
+    counts = np.where(lo < hi, np.searchsorted(y[by_y], hi, side=side) - first, 0)
+    cell = np.repeat(np.arange(len(lo)), counts)
+    starts = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return cell, by_y[starts + np.arange(counts.sum())]
+
+
+def _preimage(sm, cell, y):
+    """Where the linear piece of each cell meets its query."""
+    x0, x1 = sm.xs[cell], sm.xs[cell + 1]
+    a, b = sm.ys[cell], sm.ys[cell + 1]
+    return np.clip(x0 + (y - a) / (b - a) * (x1 - x0), x0, x1)
+
+
+def cell_cdf(sm, spec, ys):
+    """P(g~(X) <= y) for the sampled interpolant g~, summed per grid cell
+    with no partition, unfolding or preimage rule.
+
+    g~ is linear on each cell [x_i, x_{i+1}].  A cell adds its whole
+    input mass once y reaches its larger value, and for y inside its
+    value range the part of its mass where the linear piece lies below
+    y.  The whole cells come from one cumsum over the cells sorted by
+    their larger value, the partial ones from the (cell, y) pairs with y
+    in the cell's range, added per y by bincount.
+    """
+    y = np.asarray(ys, dtype=float)
+    flat = y.ravel()
+    fx = spec._raw_cdf(sm.xs)
+    hi = np.maximum(sm.ys[:-1], sm.ys[1:])
+    by_hi = np.argsort(hi, kind="stable")
+    whole = np.concatenate([[0.0], np.cumsum(np.diff(fx)[by_hi])])
+    total = whole[np.searchsorted(hi[by_hi], flat, side="right")]
+    cell, query = _cell_queries(sm, flat, "left")
+    fq = spec._raw_cdf(_preimage(sm, cell, flat[query]))
+    rising = sm.ys[cell + 1] > sm.ys[cell]
+    below = np.where(rising, fq - fx[cell], fx[cell + 1] - fq)
+    total += np.bincount(query, weights=below, minlength=flat.size)
+    return (total / spec.normalization).reshape(y.shape)
+
+
+def cell_density(sm, spec, ys):
+    """Density of g~(X) at y: the input density at each preimage times
+    the cell's inverse slope, summed over the cells whose closed value
+    range holds y, so a sampled value takes the cells on both sides."""
+    y = np.asarray(ys, dtype=float)
+    flat = y.ravel()
+    cell, query = _cell_queries(sm, flat, "right")
+    slope = np.diff(sm.xs)[cell] / np.abs(np.diff(sm.ys)[cell])
+    terms = spec.pdf(_preimage(sm, cell, flat[query])) * slope
+    return np.bincount(query, weights=terms, minlength=flat.size).reshape(y.shape)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import shutil
+import threading
 import time
 import tracemalloc
 
@@ -948,6 +949,67 @@ class TestDensityCommand:
         assert run("density", "--config", cfg, "--out", out) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert 0.95 < meta["mass"] < 1.05
+
+    @pytest.mark.parametrize("name,replace", [
+        *(pytest.param(name, (), id=name)
+          for name in ("duffing", "logistic3", "oscillator", "parabola", "pendulum")),
+        pytest.param("logistic3", (("iterations = 3", "iterations = 9"),
+                                   ("n_div = 400", "n_div = 20000")), id="logistic9-20000"),
+    ])
+    def test_eta_csv_is_the_unfold_artifact(self, tmp_path, name, replace):
+        # density writes eta.csv while its worker thread evaluates the density
+        shutil.copy(CONFIG_DIR / "parabola.csv", tmp_path)
+        cfg = write_config(tmp_path / "run.cfg", reference_config(name, replace))
+        for command in ("unfold", "density"):
+            assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
+        assert ((tmp_path / "density" / "eta.csv").read_bytes()
+                == (tmp_path / "unfold" / "eta.csv").read_bytes())
+
+
+class TestDensityThreads:
+    """density evaluates on a worker thread while it writes eta.csv."""
+
+    @pytest.mark.parametrize("error,code,label", [
+        (errors.NumericalError, 4, "numerical failure"),
+        (MemoryError, 2, "config error"),
+    ])
+    def test_a_density_error_keeps_its_exit_code_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, error, code, label):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "pushforward_density", fail)
+        out = tmp_path / "o"
+        assert run("density", "--config", CONFIG_DIR / "oscillator.cfg",
+                   "--out", out) == code
+        assert capsys.readouterr().err.startswith(f"{label}: ")
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_eta_write_propagates_and_joins_the_worker(
+            self, tmp_path, monkeypatch):
+        # the worker waits until the write has failed, so it is still
+        # running when the error leaves the writing thread
+        failed, finished = threading.Event(), []
+        density = cli.pushforward_density
+
+        def write_rows(fh, columns):
+            failed.set()
+            raise OSError(28, "No space left on device")
+
+        def slow_density(*args, **kwargs):
+            assert failed.wait(10.0)
+            time.sleep(0.05)
+            finished.append(density(*args, **kwargs))
+            return finished[-1]
+
+        monkeypatch.setattr(cli, "write_rows", write_rows)
+        monkeypatch.setattr(cli, "pushforward_density", slow_density)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="No space left"):
+            run("density", "--config", CONFIG_DIR / "oscillator.cfg",
+                "--out", tmp_path / "o")
+        assert threading.active_count() == before
+        assert len(finished) == 1
 
 
 class TestUnfoldCommand:
