@@ -11,13 +11,6 @@ positional argument and the four options (--config, --out, --seed,
 --threads) are shared, so they may come before or after it.
 ``partition``, ``unfold`` and ``density`` ignore --seed and --threads.
 
-``density`` runs on two threads once the map is unfolded: the calling
-thread writes ``eta.csv`` while one worker thread builds the layer table
-and evaluates the density, and the calling thread then writes the other
-artifacts.  --threads still caps only the Monte Carlo, ``direct_seconds``
-includes the overlapped ``eta.csv`` write, and a ``density`` that exits
-2, 3 or 4 leaves no artifact in --out.
-
 Exit codes: 0 success, 2 config or usage error (an array too large for
 memory included), 3 degenerate input, 4 numerical failure (any
 ``NumericalError`` or ``FloatingPointError``).
@@ -33,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -218,34 +210,15 @@ def _partition_payload(part, table) -> dict:
     }
 
 
-def _run_direct_stages(exp: Experiment, eta_path: str | None = None):
-    """Sample, partition, unfold, evaluate; returns part, um, curve, seconds.
-
-    With ``eta_path`` the unfolded knots are written there on this thread
-    while one worker thread builds the layer table and evaluates the
-    density, which do not read the file; if the density raises, the file
-    is removed before the error propagates.
-    """
+def _run_direct_stages(exp: Experiment):
+    """Sample, partition, unfold, evaluate; returns part, um, curve, seconds."""
     t0 = time.perf_counter()
     sm = sample_map(exp.map_def, exp.grid)
     part = detect_extrema(sm)
     um = build_unfolded(sm, part)
-
-    def evaluate():
-        return pushforward_density(part, build_layer_table(part), um, exp.density,
-                                   cells=exp.delta_cells, gprime=exp.gprime)
-
-    if eta_path is None:
-        curve = evaluate()
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(evaluate)
-            _write_csv(eta_path, "u,x", (um.knots_u, um.knots_x))
-            try:
-                curve = future.result()
-            except BaseException:
-                os.remove(eta_path)
-                raise
+    table = build_layer_table(part)
+    curve = pushforward_density(part, table, um, exp.density,
+                                cells=exp.delta_cells, gprime=exp.gprime)
     elapsed = time.perf_counter() - t0
     return part, um, curve, elapsed
 
@@ -272,7 +245,9 @@ def cmd_unfold(exp: Experiment, out_dir: str, threads: int) -> None:
 
 
 def cmd_density(exp: Experiment, out_dir: str, threads: int) -> None:
-    _, _, curve, elapsed = _run_direct_stages(exp, os.path.join(out_dir, "eta.csv"))
+    _, um, curve, elapsed = _run_direct_stages(exp)
+    _write_csv(os.path.join(out_dir, "eta.csv"), "u,x",
+               (um.knots_u, um.knots_x))
     _write_csv(os.path.join(out_dir, "mu_y.csv"), "y,mu_y,interval_id",
                (curve.ys, curve.mu_ys, curve.interval_ids))
     _write_json(os.path.join(out_dir, "meta.json"), {

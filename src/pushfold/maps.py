@@ -211,10 +211,26 @@ MAP_KINDS = {"logistic": Logistic, "oscillator": Oscillator, "duffing": Duffing,
              "pendulum": Pendulum, "table": TableMap}
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def table_from_csv(path) -> TableMap:
-    """Load a TableMap from a two-column ``x,y`` CSV with a header row."""
+    """Load a TableMap from a two-column ``x,y`` CSV with a header row.
+
+    Raises ValueError when the first row is two numbers, as a file
+    without its header row would otherwise lose its first sample.
+    """
     with open(path, newline="") as fh:
-        rows = [row for row in list(csv.reader(fh))[1:] if row]
+        rows = list(csv.reader(fh))
+    if rows and len(rows[0]) >= 2 and all(map(_is_float, rows[0][:2])):
+        raise ValueError(f"table file {path!r} has no header row: its first "
+                         f"row {','.join(rows[0])!r} is data")
+    rows = [row for row in rows[1:] if row]
     if not rows or min(map(len, rows)) < 2:
         raise ValueError(f"table file {path!r} needs data rows of two fields")
     return TableMap.from_samples([float(row[0]) for row in rows],

@@ -385,14 +385,21 @@ class TestConfigDefects:
         cfg.write_bytes(b"\xff\xfe" + reference_config("logistic3").encode())
         assert_config_error(tmp_path, capsys, cfg)
 
-    @pytest.mark.parametrize("table", ["", "x,y\n", "x,y\n0,0\n0.5\n1,1\n"],
-                             ids=["empty", "header-only", "short-row"])
+    @pytest.mark.parametrize("table,message", [
+        pytest.param("", "data rows", id="empty"),
+        pytest.param("x,y\n", "data rows", id="header-only"),
+        pytest.param("x,y\n0,0\n0.5\n1,1\n", "data rows", id="short-row"),
+        # read with its first row as the header, this would be a table on [0.5, 1]
+        pytest.param("0,0\n0.5,1\n1,0\n", "header", id="headerless"),
+    ])
     @pytest.mark.parametrize("section", ["map", "density"])
-    def test_short_table_file(self, tmp_path, capsys, table, section):
+    def test_short_table_file(self, tmp_path, capsys, table, message, section):
+        name = "identity.csv" if section == "map" else "weights.csv"
         cfg = variant_config(tmp_path, MAP_SECTIONS["table"], DENSITY_SECTIONS["table"])
-        (tmp_path / ("identity.csv" if section == "map" else "weights.csv")).write_text(table)
+        (tmp_path / name).write_text(table)
         err = assert_config_error(tmp_path, capsys, cfg)
         assert f"bad [{section}] section" in err
+        assert message in err and name in err
 
     @pytest.mark.parametrize("edit", [("alpha = 0", "alpha = -0.5"),
                                       ("beta = 1", "beta = 1.5")])
@@ -957,17 +964,13 @@ class TestDensityCommand:
                                    ("n_div = 400", "n_div = 20000")), id="logistic9-20000"),
     ])
     def test_eta_csv_is_the_unfold_artifact(self, tmp_path, name, replace):
-        # density writes eta.csv while its worker thread evaluates the density
+        # density writes the same unfolded knots as unfold, beside its density
         shutil.copy(CONFIG_DIR / "parabola.csv", tmp_path)
         cfg = write_config(tmp_path / "run.cfg", reference_config(name, replace))
         for command in ("unfold", "density"):
             assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
         assert ((tmp_path / "density" / "eta.csv").read_bytes()
                 == (tmp_path / "unfold" / "eta.csv").read_bytes())
-
-
-class TestDensityThreads:
-    """density evaluates on a worker thread while it writes eta.csv."""
 
     @pytest.mark.parametrize("error,code,label", [
         (errors.NumericalError, 4, "numerical failure"),
@@ -985,31 +988,27 @@ class TestDensityThreads:
         assert capsys.readouterr().err.startswith(f"{label}: ")
         assert list(out.iterdir()) == []
 
-    def test_a_failed_eta_write_propagates_and_joins_the_worker(
-            self, tmp_path, monkeypatch):
-        # the worker waits until the write has failed, so it is still
-        # running when the error leaves the writing thread
-        failed, finished = threading.Event(), []
-        density = cli.pushforward_density
-
+    def test_a_failed_eta_write_propagates(self, tmp_path, monkeypatch):
         def write_rows(fh, columns):
-            failed.set()
             raise OSError(28, "No space left on device")
 
-        def slow_density(*args, **kwargs):
-            assert failed.wait(10.0)
-            time.sleep(0.05)
-            finished.append(density(*args, **kwargs))
-            return finished[-1]
-
         monkeypatch.setattr(cli, "write_rows", write_rows)
-        monkeypatch.setattr(cli, "pushforward_density", slow_density)
-        before = threading.active_count()
         with pytest.raises(OSError, match="No space left"):
             run("density", "--config", CONFIG_DIR / "oscillator.cfg",
                 "--out", tmp_path / "o")
-        assert threading.active_count() == before
-        assert len(finished) == 1
+
+    def test_the_density_is_evaluated_on_the_main_thread(self, tmp_path, monkeypatch):
+        threads = []
+        density = cli.pushforward_density
+
+        def recording_density(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "pushforward_density", recording_density)
+        assert run("density", "--config", CONFIG_DIR / "oscillator.cfg",
+                   "--out", tmp_path / "o") == 0
+        assert threads == [threading.main_thread()]
 
 
 class TestUnfoldCommand:
