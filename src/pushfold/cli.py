@@ -115,16 +115,9 @@ def _build_variant(name: str, kinds: dict, section: dict, config_dir: str,
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
         if from_file:
-            path = os.path.join(config_dir, section["path"])
-            if not os.path.exists(path):
-                raise ConfigError(f"{name} table file {path!r} does not exist")
-            tm = table_from_csv(path)
-            if domain is not None and (tm.alpha, tm.beta) != domain:
-                raise ConfigError(
-                    f"density table spans [{tm.alpha:g}, {tm.beta:g}] but the map "
-                    f"domain is [{domain[0]:g}, {domain[1]:g}]")
+            tm = table_from_csv(os.path.join(config_dir, section["path"]))
             # both table kinds take (alpha, beta, xs, values)
-            return cls(tm.alpha, tm.beta, tm.xs, tm.ys)
+            return cls(*(domain or (tm.alpha, tm.beta)), tm.xs, tm.ys)
         values = {f.name: int(section[f.name]) if f.type in (int, "int")
                   else _parse_number(section, f.name)
                   for f in fields

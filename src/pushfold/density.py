@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError
+from .maps import check_table
 from .partition import LayerTable, MonotonePartition, u_of_y
 from .unfold import UnfoldedMap, eta_derivative, eta_eval
 
@@ -46,7 +47,11 @@ PAIR_BLOCK = 8192
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Base input density on [alpha, beta]; normalization computed once."""
+    """Base input density on [alpha, beta]; normalization computed once.
+
+    Each density kind defines ``_raw(x)``, its unnormalized shape, and
+    ``_raw_cdf(x)``, the exact integral of that shape over [alpha, x].
+    """
 
     alpha: float
     beta: float
@@ -62,13 +67,6 @@ class DensitySpec:
             raise DegenerateInputError(
                 f"density normalization constant {z!r} is not finite and positive")
         object.__setattr__(self, "normalization", z)
-
-    def _raw(self, x):
-        raise NotImplementedError
-
-    def _raw_cdf(self, x):
-        """Exact integral of the raw shape over [alpha, x]."""
-        raise NotImplementedError
 
     def pdf(self, x):
         """Normalized density value(s) at x."""
@@ -109,21 +107,14 @@ class TableDensity(DensitySpec):
     weights: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.xs).all() and np.isfinite(self.weights).all()):
-            raise ValueError("table values must be finite")
-        if len(self.xs) != len(self.weights) or len(self.xs) < 2:
-            raise ValueError("table needs matching x/weight columns of length >= 2")
-        if not np.all(np.diff(self.xs) > 0):
-            raise ValueError("table x values must be strictly increasing")
+        check_table(self.alpha, self.beta, self.xs, self.weights)
         if (self.weights < 0).any():
             raise ValueError("table weights must be nonnegative")
         if not (self.weights > 0).any():
             raise ValueError("table weights must not all be zero")
-        inner = self.xs[(self.xs > self.alpha) & (self.xs < self.beta)]
-        knots = np.concatenate([[self.alpha], inner, [self.beta]])
-        w = np.interp(knots, self.xs, self.weights)
-        # built once: the knots in [alpha, beta], their weights and the
-        # trapezoid sums below each; writable, as np.interp copies a
+        knots, w = self.xs.copy(), self.weights.copy()
+        # built once: the knots, their weights and the trapezoid sums
+        # below each; copies, which stay writable, as np.interp copies a
         # read-only argument on every call
         object.__setattr__(self, "_knots", (knots, w, np.append(
             0.0, np.cumsum(np.diff(knots) * (w[:-1] + w[1:]) / 2.0))))

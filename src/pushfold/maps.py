@@ -176,6 +176,22 @@ class Pendulum(SecondOrder):
         return np.negative(np.sin(y, out=out), out=out)
 
 
+def check_table(alpha: float, beta: float, xs, values) -> None:
+    """Raise ValueError unless the columns are a table on [alpha, beta]:
+    finite, of matching length of at least two rows, with x strictly
+    increasing from alpha to beta."""
+    if not (np.isfinite(xs).all() and np.isfinite(values).all()):
+        raise ValueError("table values must be finite")
+    if len(xs) != len(values) or len(xs) < 2:
+        raise ValueError(f"table needs matching x and value columns of at least "
+                         f"two rows, got {len(xs)} and {len(values)}")
+    if not np.all(np.diff(xs) > 0):
+        raise ValueError("table x values must be strictly increasing")
+    if xs[0] != alpha or xs[-1] != beta:
+        raise ValueError(f"table spans [{xs[0]:g}, {xs[-1]:g}] but the domain "
+                         f"is [{alpha:g}, {beta:g}]")
+
+
 @dataclass(frozen=True, eq=False)
 class TableMap(MapDefinition):
     """Map given by explicit samples, evaluated by linear interpolation."""
@@ -184,15 +200,8 @@ class TableMap(MapDefinition):
     ys: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
-            raise ValueError("table values must be finite")
+        check_table(self.alpha, self.beta, self.xs, self.ys)
         super().__post_init__()
-        if len(self.xs) != len(self.ys) or len(self.xs) < 2:
-            raise ValueError("table needs matching x/y columns of length >= 2")
-        if not np.all(np.diff(self.xs) > 0):
-            raise ValueError("table x values must be strictly increasing")
-        if self.xs[0] != self.alpha or self.xs[-1] != self.beta:
-            raise ValueError("table samples must span [alpha, beta] exactly")
         # the columns stay writable: np.interp copies a read-only
         # argument on every eval_map call
 

@@ -10,7 +10,7 @@ the 401-point grid maps onto it (see notes on the decision record).
 
 import numpy as np
 import pytest
-from conftest import MC_SEED, experiment_defs, random_piecewise_cubic
+from conftest import MC_SEED, REPO_ROOT, experiment_defs, random_piecewise_cubic
 from reference import index_set, index_sets, value_tol_abs
 
 from pushfold import (
@@ -219,3 +219,13 @@ class TestCriterion8CostReport:
         ok = all(pipelines[n].seconds > 0 and comparisons[n].seconds > 0
                  for n in experiment_defs())
         report("8 (cost report)", ok, " | ".join(lines))
+
+
+def test_readme_python_quick_start_runs(capsys):
+    # an API rename breaks this test rather than the README
+    readme = (REPO_ROOT / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    mass = float(capsys.readouterr().out.split()[0])
+    assert abs(mass - 1.0) < 0.02, mass

@@ -78,9 +78,12 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "bad.cfg", "[map]\nkind = logistic\n")
         assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 2
 
-    def test_missing_table_file(self, tmp_path):
+    def test_missing_table_file(self, tmp_path, capsys):
+        # open's OSError names the file
         cfg = write_config(tmp_path / "bad.cfg", IDENTITY_CFG)
         assert run("partition", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and str(tmp_path / "identity.csv") in err
 
     def test_compare_without_mc_block(self, tmp_path, capsys):
         body = IDENTITY_CFG.split("[mc]")[0]
@@ -260,7 +263,8 @@ class TestConfigValidation:
         assert run(command, "--config", cfg, "--out", out) == code
         err = capsys.readouterr().err
         if code:
-            assert f"density table spans [{lo:g}, {hi:g}] but the map domain is [0, 1]" in err
+            assert "bad [density] section" in err
+            assert f"table spans [{lo:g}, {hi:g}] but the domain is [0, 1]" in err
             assert not (out / "mu_y.csv").exists()
 
 

@@ -37,11 +37,13 @@ from pushfold import (
     SinPlusTwo,
     TableConstructionError,
     TableDensity,
+    TableMap,
     UnfoldError,
     Uniform,
     build_layer_table,
     build_unfolded,
     detect_extrema,
+    layer_membership,
     pushforward_cdf,
     pushforward_density,
     sample_map,
@@ -95,14 +97,15 @@ class TestDensitySpec:
             assert abs(total - 1.0) < 1e-10
 
     def test_table_normalization_is_the_exact_trapezoid(self):
-        # a 2e-5-wide spike between Simpson nodes, and knots past [alpha, beta]
+        # a 2e-5-wide spike between Simpson nodes, and a tent on a domain
+        # other than [0, 1]
         spike = TableDensity(alpha=0.0, beta=1.0,
                              xs=np.array([0.0, 0.49999, 0.5, 0.50001, 1.0]),
                              weights=np.array([0.01, 0.01, 1.0, 0.01, 0.01]))
         assert spike.normalization == pytest.approx(0.0100099, rel=1e-12)
-        wide = TableDensity(alpha=0.25, beta=0.75, xs=np.array([0.0, 0.5, 1.0]),
-                            weights=np.array([0.0, 2.0, 0.0]))
-        assert wide.normalization == pytest.approx(0.75, rel=1e-15)
+        tent = TableDensity(alpha=0.25, beta=0.75, xs=np.array([0.25, 0.5, 0.75]),
+                            weights=np.array([1.0, 2.0, 1.0]))
+        assert tent.normalization == pytest.approx(0.75, rel=1e-15)
 
     @pytest.mark.parametrize("spec", [
         Uniform(alpha=-1.0, beta=1.0), Uniform(alpha=0.1, beta=0.7),
@@ -116,8 +119,8 @@ class TestDensitySpec:
                            rtol=0.0, atol=1e-14)
 
     def test_table_raw_cdf_is_the_fine_trapezoid(self):
-        # knots past both ends of [alpha, beta], and kinks between the x
-        spec = TableDensity(alpha=0.05, beta=0.95,
+        # kinks between the x of the fine grid
+        spec = TableDensity(alpha=0.0, beta=1.4,
                             xs=np.array([0.0, 0.13, 0.5, 0.77, 1.0, 1.4]),
                             weights=np.array([0.2, 1.5, 0.1, 2.0, 0.7, 3.0]))
         fine = np.linspace(spec.alpha, spec.beta, 180_001)
@@ -167,9 +170,17 @@ class TestDensitySpec:
             Uniform(alpha=alpha, beta=beta)
 
     def test_table_columns_must_match(self):
-        with pytest.raises(ValueError, match="matching x/weight columns"):
+        with pytest.raises(ValueError, match="matching x and value columns"):
             TableDensity(alpha=0.0, beta=1.0,
                          xs=np.array([0.0, 0.5, 1.0]), weights=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("lo,hi", [(0.2, 0.8), (-0.5, 1.5), (0.0, 0.9), (0.1, 1.0)])
+    @pytest.mark.parametrize("kind", [TableMap, TableDensity], ids=lambda kind: kind.__name__)
+    def test_table_must_span_the_domain(self, kind, lo, hi):
+        # a density table narrower than its domain has no weights past its ends
+        with pytest.raises(ValueError,
+                           match=rf"table spans \[{lo:g}, {hi:g}\] but the domain is \[0, 1\]"):
+            kind(0.0, 1.0, np.linspace(lo, hi, 11), np.ones(11))
 
     def test_table_x_must_increase(self):
         with pytest.raises(ValueError, match="x values must be strictly increasing"):
@@ -235,6 +246,19 @@ class TestFdfDensity:
                 u = u_of_y(y, j, p)
                 total += float(spec.pdf(eta_eval(um, u))) * eta_derivative(um, u)
             assert total == pytest.approx(float(curve.mu_ys[q]), rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: cells next to a critical value collapsed by "
+               "value_tol evaluate covering branches past their image; 36 of "
+               "313292 (cell, branch) pairs here, none at 500 cells")
+    def test_every_summand_lies_inside_its_branch_image(self):
+        m = Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=7)
+        p, t, _, curve = pipeline(sample_map(m, GridSpec(20_000)),
+                                  SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0), cells=5000)
+        cell, j = np.nonzero(t.covering[curve.interval_ids])
+        outside = ~layer_membership(curve.ys[cell], j + 1, p)
+        assert not outside.any(), f"{outside.sum()} of {len(cell)} pairs past their image"
 
     def test_monotone_map_reduces_to_single_branch_formula(self):
         # strictly increasing map: direct change of variables applies

@@ -389,7 +389,7 @@ class TestTableMap:
                      xs=np.array([0.0, 1.0]), ys=np.array([0.0, 1.0]))
 
     def test_rejects_mismatched_columns(self):
-        with pytest.raises(ValueError, match="matching x/y columns"):
+        with pytest.raises(ValueError, match="matching x and value columns"):
             TableMap.from_samples([0.0, 0.5, 1.0], [0.0, 1.0])
 
     def test_evaluation_does_not_copy_the_columns(self):
