@@ -1,12 +1,13 @@
 """Piecewise-monotone structure of a sampled map.
 
 ``detect_extrema`` cuts a sampled map into strictly monotone branches in
-two linear passes: flag every point where the first differences do not
-keep a strict sign, then drop, left to right, each flag that would close
-a branch moving less than the merge tolerance.  Of the bounds left, those
-where the direction turns form a ``MonotonePartition``: the branch
-boundaries, the signed image increments of each branch, and their
-cumulative absolute sums (the coordinates of the unfolded range).
+two linear passes: flag every point where the map does not step the
+same strict way on both sides, then drop, left to right, each flag that
+would close a branch moving less than the merge tolerance.  Of the
+bounds left, those where the direction turns form a
+``MonotonePartition``: the branch boundaries, the signed image
+increments of each branch, and their cumulative absolute sums (the
+coordinates of the unfolded range).
 
 ``build_layer_table`` then organizes the branch-boundary images into the
 sorted set of critical values, a mask of the branches covering each
@@ -41,10 +42,6 @@ MERGE_TOL = 1e-9
 # points and split by O(h^2) in the sampled values, so this sits well
 # above grid-induced splitting and well below genuine value gaps.
 DEFAULT_VALUE_TOL = 1e-3
-
-# detect_extrema flags the grid in pieces of this many interior points,
-# so its first differences never take a whole grid array.
-FLAG_PIECE = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +112,9 @@ class LayerTable:
 def detect_extrema(sm: SampledMap) -> MonotonePartition:
     """Locate branch boundaries of a sampled map in two linear passes.
 
-    Every interior grid point where the signs of adjacent first
-    differences have a product <= 0 is flagged, plateaus and flat pairs
-    included; the grid is scanned in pieces of FLAG_PIECE points.  Signs,
-    not the differences themselves, are multiplied, so a product that
-    would underflow to zero never reads as a turn.  Left to
-    right, a flag that would close a branch moving less than
+    Every interior grid point where the map does not step the same strict
+    way on both sides is flagged, plateaus and flat pairs included.  Left
+    to right, a flag that would close a branch moving less than
     MERGE_TOL * (g_max - g_min) is dropped, so the short branch joins its
     right neighbour; while the last branch is short, its left bound is
     dropped instead.  Of the bounds left, only those where the direction
@@ -134,20 +128,19 @@ def detect_extrema(sm: SampledMap) -> MonotonePartition:
     tol = MERGE_TOL * value_range
 
     idx = [0]
-    for start in range(0, len(ys) - 2, FLAG_PIECE):
-        # the interior points start + 1 .. start + FLAG_PIECE
-        s = np.sign(np.diff(ys[start:start + FLAG_PIECE + 2]))
-        for t in (np.flatnonzero(s[:-1] * s[1:] <= 0.0) + (start + 1)).tolist():
-            if abs(ys[t] - ys[idx[-1]]) >= tol:
-                idx.append(t)
+    up, down = ys[1:] > ys[:-1], ys[1:] < ys[:-1]
+    for t in (np.flatnonzero(~(up[:-1] & up[1:] | down[:-1] & down[1:])) + 1).tolist():
+        if abs(ys[t] - ys[idx[-1]]) >= tol:
+            idx.append(t)
     while len(idx) > 1 and abs(ys[-1] - ys[idx[-1]]) < tol:
         idx.pop()
     idx.append(len(ys) - 1)
 
-    # Joining two branches of one direction never makes a short branch,
-    # so the bounds between them all go at once.
-    s = np.sign(np.diff(ys[idx]))
-    indices = np.delete(idx, np.flatnonzero(s[:-1] * s[1:] > 0.0) + 1)
+    # Each step between the bounds kept moves at least tol, so it rises or
+    # falls.  Joining two branches of one direction never makes a short
+    # branch, so the bounds between them all go at once.
+    up = np.diff(ys[idx]) > 0.0
+    indices = np.delete(idx, np.flatnonzero(up[:-1] == up[1:]) + 1)
     lam = np.diff(ys[indices])
     masses = np.concatenate([[0.0], np.cumsum(np.abs(lam))])
     if not np.isfinite(masses[-1]):

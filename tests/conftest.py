@@ -10,15 +10,8 @@ import numpy as np
 import pytest
 
 from pushfold import (
-    Duffing,
     GridSpec,
-    Logistic,
-    McConfig,
-    Oscillator,
-    Pendulum,
-    SinPlusTwo,
     TableMap,
-    Uniform,
     build_layer_table,
     build_unfolded,
     compare,
@@ -27,8 +20,8 @@ from pushfold import (
     pushforward_density,
     mc_density,
     sample_map,
-    table_from_csv,
 )
+from pushfold.cli import Experiment
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -73,37 +66,22 @@ def random_piecewise_cubic(rng, n_knots=None):
     return make_sampled(xs, ys)
 
 
+# the reference experiments and the config file each is read from
+CONFIG_NAMES = {"logistic": "logistic3", "duffing": "duffing", "pendulum": "pendulum",
+                "oscillator": "oscillator", "parabola": "parabola"}
+
+
+def experiments():
+    """The five reference experiments, parsed from configs/ as the CLI
+    parses them."""
+    return {name: Experiment(str(CONFIG_DIR / f"{stem}.cfg"))
+            for name, stem in CONFIG_NAMES.items()}
+
+
 def experiment_defs():
     """The five reference experiments: (map, density, grid)."""
-    parabola = table_from_csv(CONFIG_DIR / "parabola.csv")
-    return {
-        "logistic": (
-            Logistic(alpha=0.0, beta=1.0, rate=3.9, iterations=3),
-            SinPlusTwo(alpha=0.0, beta=1.0, omega=5.0),
-            GridSpec(400),
-        ),
-        "duffing": (
-            Duffing(alpha=0.0, beta=5.0, t_final=5.0, step=5.0 / 300.0),
-            SinPlusTwo(alpha=0.0, beta=5.0, omega=5.0),
-            GridSpec(300),
-        ),
-        "pendulum": (
-            Pendulum(alpha=0.0, beta=1.99, t_final=18.0, step=18.0 / 200.0),
-            SinPlusTwo(alpha=0.0, beta=1.99, omega=5.0),
-            GridSpec(200),
-        ),
-        "oscillator": (
-            Oscillator(alpha=2.0, beta=4.0, gain=1.0, amplitude=2.0,
-                       omega=6.0, time=1.0),
-            SinPlusTwo(alpha=2.0, beta=4.0, omega=5.0),
-            GridSpec(200),
-        ),
-        "parabola": (
-            parabola,
-            Uniform(alpha=-1.0, beta=1.0),
-            GridSpec(400),
-        ),
-    }
+    return {name: (exp.map_def, exp.density, exp.grid)
+            for name, exp in experiments().items()}
 
 
 def fine_grid_maps(n_div=200_000):
@@ -158,17 +136,16 @@ class ComparisonRun:
 
 @pytest.fixture(scope="session")
 def comparisons(pipelines):
-    """Monte Carlo baselines (1e6 samples, 200 bins) vs the exact bin
-    masses of each pipeline's pushforward CDF."""
-    cfg = McConfig(n_samples=1_000_000, n_bins=200, seed=MC_SEED)
+    """Monte Carlo baselines, each run as its config's [mc] section says,
+    vs the exact bin masses of each pipeline's pushforward CDF."""
     out = {}
-    for name, (map_def, spec, grid) in experiment_defs().items():
+    for name, exp in experiments().items():
         t0 = time.perf_counter()
-        hist = mc_density(map_def, spec, cfg, scan_grid=grid,
+        hist = mc_density(exp.map_def, exp.density, exp.mc, scan_grid=exp.grid,
                           threads=os.cpu_count() or 1)
         seconds = time.perf_counter() - t0
         run = pipelines[name]
-        metrics = compare(pushforward_cdf(run.part, run.um, spec, hist.edges), hist)
+        metrics = compare(pushforward_cdf(run.part, run.um, exp.density, hist.edges), hist)
         out[name] = ComparisonRun(hist, metrics, seconds)
     return out
 

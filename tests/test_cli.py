@@ -805,6 +805,35 @@ class TestNumericalFailure:
         assert "numerical failure: g(x) = inf is not finite at x = 2.0" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("cells", [500, pytest.param(5000, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 12: 0.5 and 0.5004 merge into the critical "
+                            "value 0.5002, and the first cell above it lies below "
+                            "branch 1's start, so u_of_y gives a negative u (exit 4)"))])
+    def test_a_cell_below_the_first_branch_start(self, tmp_path, capsys, cells):
+        (tmp_path / "m.csv").write_text("x,y\n0,0.5004\n0.25,1\n0.5,0\n0.75,0.5\n1,0.2\n")
+        cfg = write_config(tmp_path / "m.cfg", f"""\
+[map]
+kind = table
+path = m.csv
+
+[density]
+kind = uniform
+
+[grid]
+n_div = 400
+
+[pushforward]
+delta_cells = {cells}
+
+[mc]
+n_samples = 10000
+n_bins = 50
+seed = 1
+""")
+        for command in ("density", "compare"):
+            code = run(command, "--config", cfg, "--out", tmp_path / command)
+            assert code == 0, (command, capsys.readouterr().err)
+
     def test_divergent_integration_exits_4(self, tmp_path, capsys):
         # an absurd initial-velocity range blows up the cubic restoring
         # force within a few oversized steps

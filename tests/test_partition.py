@@ -258,28 +258,26 @@ class TestExtremumFlagsMatchReference:
         assert_matches_reference(flat_half_jitter_map(2000))
 
 
-class TestFlagPieces:
-    """detect_extrema flags the grid piece by piece, with the products of
-    the whole-grid test and no temporary as long as the grid."""
+class TestNeighbourFlags:
+    """detect_extrema flags turns by comparing neighbours, with no sign
+    products and no temporary as long as the grid."""
 
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
-    def test_pieces_keep_the_reference_flags(self, monkeypatch, piece):
-        monkeypatch.setattr(partition, "FLAG_PIECE", piece)
+    def test_flags_match_the_sign_products(self):
+        # the reference multiplies the signs of the differences
         for n_div in (4, 50, 2000):
             assert_matches_reference(ripple_map(n_div))
-        rng = np.random.default_rng(piece)
+        rng = np.random.default_rng(7)
         for _ in range(10):
             assert_matches_reference(random_piecewise_cubic(rng))
         for k in range(400):
             n = int(rng.integers(3, 20))
-            ys = rng.integers(0, 4, size=n).astype(float)
+            ys = rng.integers(0, 4, size=n) * [1.0, 1e-300, 1e-160, 1e300][k % 4]
             assert_matches_reference(make_sampled(np.arange(n), ys))
 
-    @pytest.mark.parametrize("piece", [1, 2, 3])
-    def test_underflowing_products_flag_across_pieces(self, monkeypatch, piece):
-        # 1e-300 * 1e-300 rounds to zero, but the signs of the differences
-        # still rise through point 2, so only the 5e-10 peak is flagged
-        monkeypatch.setattr(partition, "FLAG_PIECE", piece)
+    def test_underflowing_differences_keep_their_direction(self):
+        # the product of the differences either side of point 2 rounds
+        # to zero, but the map rises through it, so only the 5e-10 peak
+        # is flagged
         sm = make_sampled(np.arange(7), [-1.0, -1e-300, 0.0, 1e-300, 2e-300, 5e-10, -1.0])
         assert_matches_reference(sm)
         assert detect_extrema(sm).alpha_indices.tolist() == [0, 5, 6]
