@@ -258,15 +258,17 @@ class TestExtremumFlagsMatchReference:
         assert_matches_reference(flat_half_jitter_map(2000))
 
 
-class TestNeighbourFlags:
+class TestFlagPieces:
     """detect_extrema flags turns by comparing neighbours, with no sign
-    products and no temporary as long as the grid."""
+    products and no temporary as long as the grid, on maps pieced
+    together from cubics, ripples, short runs and repeated rows."""
 
-    def test_flags_match_the_sign_products(self):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_pieces_keep_the_reference_flags(self, seed):
         # the reference multiplies the signs of the differences
         for n_div in (4, 50, 2000):
             assert_matches_reference(ripple_map(n_div))
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed)
         for _ in range(10):
             assert_matches_reference(random_piecewise_cubic(rng))
         for k in range(400):
@@ -274,13 +276,18 @@ class TestNeighbourFlags:
             ys = rng.integers(0, 4, size=n) * [1.0, 1e-300, 1e-160, 1e300][k % 4]
             assert_matches_reference(make_sampled(np.arange(n), ys))
 
-    def test_underflowing_differences_keep_their_direction(self):
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_underflowing_products_flag_across_pieces(self, copies):
         # the product of the differences either side of point 2 rounds
         # to zero, but the map rises through it, so only the 5e-10 peak
+        # of each copy of the row (and the -1 it shares with the next)
         # is flagged
-        sm = make_sampled(np.arange(7), [-1.0, -1e-300, 0.0, 1e-300, 2e-300, 5e-10, -1.0])
+        row = [-1.0, -1e-300, 0.0, 1e-300, 2e-300, 5e-10, -1.0]
+        ys = row + row[1:] * (copies - 1)
+        sm = make_sampled(np.arange(len(ys)), ys)
         assert_matches_reference(sm)
-        assert detect_extrema(sm).alpha_indices.tolist() == [0, 5, 6]
+        expected = [0] + [i + 6 * j for j in range(copies) for i in (5, 6)]
+        assert detect_extrema(sm).alpha_indices.tolist() == expected
 
     def test_peak_below_one_grid_array(self):
         for name, sm in fine_grid_maps().items():
